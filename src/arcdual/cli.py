@@ -171,7 +171,10 @@ def _load_deformation(path_name: str, quiver):
 def cmd_diamond(args) -> int:
     system = koszul.reduction_system(args.m, args.n)
     if args.deformed:
-        assignment = _load_deformation(args.deformed, system.quiver)
+        try:
+            assignment = _load_deformation(args.deformed, system.quiver)
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            return _usage(f"cannot load deformation {args.deformed!r}: {exc}")
         system = system.with_deformation(assignment)
     report = rw.check_diamond(system, args.fuel)
     print(f"overlaps {report.overlaps_checked}")
@@ -306,6 +309,7 @@ def cmd_deform(args) -> int:
 
 def cmd_verify(args) -> int:
     m, n = args.m, args.n
+    bar_limit = hh.bar_capacity()
 
     def fail(name: str, witness) -> int:
         print(f"failed {name}")
@@ -350,7 +354,7 @@ def cmd_verify(args) -> int:
 
     try:
         for q in range(0, 2 * m * n - 1, 2):
-            bar = hh.hh2_bar_oracle(m, n, q)
+            bar = hh.hh2_bar_oracle(m, n, q, bar_limit)
             deform = hh.hh2_dim(m, n, q)
             if bar != deform:
                 return fail(
@@ -370,12 +374,6 @@ def cmd_verify(args) -> int:
 def _add_common(sub):
     sub.add_argument("m", type=int)
     sub.add_argument("n", type=int)
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; output does not depend on it",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,8 +456,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "threads", 1) < 1:
-        return _usage("--threads must be at least 1")
     if args.m < 0 or args.n < 0:
         return _usage(f"type ({args.m}, {args.n}) is not valid")
     started = time.monotonic()

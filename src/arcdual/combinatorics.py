@@ -29,18 +29,24 @@ DEFAULT_CAPACITY = 14
 CAPACITY_ENV = "ARCDUAL_CAPACITY"
 
 
-def capacity() -> int:
-    """Enumeration capacity: the largest m + n enumerate_weights accepts."""
-    raw = os.environ.get(CAPACITY_ENV)
+def env_capacity(name: str, default: int) -> int:
+    """A positive integer bound read from the environment variable
+    `name`, or `default` when the variable is unset."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_CAPACITY
+        return default
     try:
         value = int(raw)
     except ValueError as exc:
-        raise CapacityError(f"{CAPACITY_ENV} must be an integer, got {raw!r}") from exc
+        raise CapacityError(f"{name} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise CapacityError(f"{CAPACITY_ENV} must be positive, got {value}")
+        raise CapacityError(f"{name} must be positive, got {value}")
     return value
+
+
+def capacity() -> int:
+    """Enumeration capacity: the largest m + n enumerate_weights accepts."""
+    return env_capacity(CAPACITY_ENV, DEFAULT_CAPACITY)
 
 
 def check_capacity(total: int) -> None:

@@ -18,7 +18,6 @@ size and therefore guarded by a capacity limit.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from functools import lru_cache
 
 from . import linalg
 from . import rewrite as rw
-from .combinatorics import sort_key
+from .combinatorics import env_capacity, sort_key
 from .errors import CapacityError, CertificationError
 from .koszul import reduction_system, staircase_chart
 from .presentation import dual_arrow
@@ -356,23 +355,22 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
     basis2 = cob.rows
     n2 = len(basis2)
     n1 = len(cob.cols)
-    constraint_rank = linalg.rank(list(cons.matrix)) if cons.matrix else 0
-    image_rank = linalg.rank([list(r) for r in cob.matrix]) if n2 and n1 else 0
-    for j in range(n1):
-        col = [cob.matrix[i][j] for i in range(n2)]
-        for r_idx, row in enumerate(cons.matrix):
-            if sum(row[i] * col[i] for i in range(n2)):
-                raise CertificationError(
-                    "coboundary image violates a cocycle constraint",
-                    witness={"cochain": cob.cols[j], "row": cons.rows[r_idx]},
-                )
+    constraint_rank = linalg.rank(cons.matrix)
+    image_rank = linalg.rank(cob.matrix)
+    columns = list(zip(*cob.matrix))
+    violation = linalg.first_nonzero_product(cons.matrix, columns)
+    if violation is not None:
+        r_idx, j = violation
+        raise CertificationError(
+            "coboundary image violates a cocycle constraint",
+            witness={"cochain": cob.cols[j], "row": cons.rows[r_idx]},
+        )
     kernel_dim = n2 - constraint_rank
     dimension = kernel_dim - image_rank
     basis = basis2
     normal = None
     if constraint_rank == 0 and n2 and image_rank == n2 - 1:
-        transpose = [[cob.matrix[i][j] for i in range(n2)] for j in range(n1)]
-        null = linalg.nullspace(transpose, n2)
+        null = linalg.nullspace(columns, n2)
         if len(null) == 1:
             normal = tuple(linalg.primitive_integer_vector(null[0]))
     if m >= 2 and n >= 2 and q == 2 * m * n - 6:
@@ -439,10 +437,7 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
     cob = coboundary_matrix(m, n, q)
     basis = cob.rows
     index = {c: i for i, c in enumerate(basis)}
-    image_rows = [
-        [cob.matrix[i][j] for i in range(len(basis))] for j in range(len(cob.cols))
-    ]
-    reduced, pivots = linalg.rref(image_rows)
+    reduced, pivots = linalg.rref(list(zip(*cob.matrix)))
 
     candidates = []
     if m >= 2 and n >= 2 and q == 2 * m * n - 6:
@@ -459,7 +454,7 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
         unit[index[Cochain2(lhs, detour)]] = F1
         candidates.append(unit)
     if cons.matrix:
-        candidates.extend(linalg.nullspace([list(r) for r in cons.matrix], len(basis)))
+        candidates.extend(linalg.nullspace(cons.matrix, len(basis)))
     else:
         for i in range(len(basis)):
             unit = [F0] * len(basis)
@@ -467,9 +462,7 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
             candidates.append(unit)
 
     for vec in candidates:
-        in_kernel = all(
-            not sum(row[i] * vec[i] for i in range(len(basis))) for row in cons.matrix
-        )
+        in_kernel = linalg.first_nonzero_product(cons.matrix, [vec]) is None
         if in_kernel and not linalg.in_span(vec, reduced, pivots):
             return _cochain_dict(basis, vec)
     raise CertificationError(
@@ -650,11 +643,9 @@ def deformed_algebra(m: int, n: int, cocycle, fuel: int = DEFAULT_FUEL) -> Defor
 # independent oracle: reduced bar complex
 
 
-def _bar_capacity(capacity) -> int:
-    if capacity is not None:
-        return capacity
-    raw = os.environ.get(BAR_CAPACITY_ENV)
-    return int(raw) if raw else BAR_CAPACITY_DEFAULT
+def bar_capacity() -> int:
+    """Largest number of positive basis paths the bar oracle accepts."""
+    return env_capacity(BAR_CAPACITY_ENV, BAR_CAPACITY_DEFAULT)
 
 
 @lru_cache(maxsize=None)
@@ -686,44 +677,6 @@ def _bar_data(m: int, n: int):
     return pos, by_start, by_end, tuple(pairs), containing
 
 
-def _sparse_rank(vectors) -> int:
-    """Rank of a list of sparse vectors (dicts keyed by comparable row
-    labels).  Maintains fully reduced pivot tails so elimination never
-    reintroduces a pivot key."""
-    pivots: dict = {}
-    rank = 0
-    for vec in vectors:
-        work = {k: v for k, v in vec.items() if v}
-        while work:
-            shared = work.keys() & pivots.keys()
-            if shared:
-                key = min(shared)
-                factor = work.pop(key)
-                for k, c in pivots[key].items():
-                    value = work.get(k, F0) - factor * c
-                    if value:
-                        work[k] = value
-                    elif k in work:
-                        del work[k]
-            else:
-                key = min(work)
-                factor = work.pop(key)
-                tail = {k: c / factor for k, c in work.items()}
-                for ptail in pivots.values():
-                    if key in ptail:
-                        c = ptail.pop(key)
-                        for k, cc in tail.items():
-                            value = ptail.get(k, F0) - c * cc
-                            if value:
-                                ptail[k] = value
-                            elif k in ptail:
-                                del ptail[k]
-                pivots[key] = tail
-                rank += 1
-                break
-    return rank
-
-
 def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
     """dim HH^2 in Adams degree q from the reduced bar complex on the
     irreducible-path basis.
@@ -733,7 +686,7 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
     paths, so the computation refuses to start above the capacity
     (parameter, else the ARCDUAL_BAR_CAPACITY variable, else 200).
     """
-    limit = _bar_capacity(capacity)
+    limit = bar_capacity() if capacity is None else capacity
     positive = sum(
         len(bucket) for (s, e, length), bucket in _irr_index(m, n).items() if length > 0
     )
@@ -798,4 +751,4 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
                     bump((ku, kb, path_key(t)), c)
             cols1.append(col)
 
-    return len(cols2) - _sparse_rank(cols2) - _sparse_rank(cols1)
+    return len(cols2) - len(linalg.echelon(cols2)) - len(linalg.echelon(cols1))

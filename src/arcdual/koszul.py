@@ -117,13 +117,11 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
                     "dual": len(reduced),
                 },
             )
-        for v in permuted:
-            for w in reduced:
-                if sum(a * c for a, c in zip(v, w)):
-                    raise CertificationError(
-                        "pairing of relation spaces is not zero",
-                        witness={"block": (b.target, b.source)},
-                    )
+        if linalg.first_nonzero_product(permuted, reduced) is not None:
+            raise CertificationError(
+                "pairing of relation spaces is not zero",
+                witness={"block": (b.target, b.source)},
+            )
         out_blocks.append(
             RelationBlock(
                 b.target, b.source, dual_paths, tuple(tuple(r) for r in reduced)

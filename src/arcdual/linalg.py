@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices as lists of Fraction rows.  Elimination is plain
-division-based Gauss-Jordan with a fixed pivoting rule (first row with a
-nonzero entry, columns left to right), so every result is deterministic;
-at the sizes appearing here (a few hundred rows, entries of tiny height)
-fraction growth is a non-issue.
+One elimination kernel, `echelon`, reduces sparse vectors (dicts from
+ordered keys to exact numbers) to reduced row echelon form, taking
+pivots in key order.  That form is unique, so the result depends on
+the span of the input only.  `rref`, `rank`, `nullspace` and `in_span`
+are thin wrappers over dense rows; `first_nonzero_product` checks that
+a matrix product vanishes using the nonzero entries only.  Division
+stays exact in `Fraction`; at the sizes here (a few hundred sparse
+rows, entries of tiny height) fraction growth is a non-issue.
 """
 
 from __future__ import annotations
@@ -12,46 +15,74 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+def _sparse(row) -> dict:
+    return {j: Fraction(x) for j, x in enumerate(row) if x}
+
+
+def _subtract(target: dict, factor, source: dict) -> None:
+    """target -= factor * source, dropping entries that cancel."""
+    for k, c in source.items():
+        value = target.get(k, F0) - factor * c
+        if value:
+            target[k] = value
+        elif k in target:
+            del target[k]
+
+
+def echelon(vectors) -> dict:
+    """Reduced row echelon form of the span of sparse vectors.
+
+    Returns {pivot key: tail}: the reduced row with that pivot is 1 at
+    the pivot key plus the tail.  Every tail key is larger than its
+    pivot key, and no tail holds a pivot key.
+    """
+    pivots: dict = {}
+    for vec in vectors:
+        work = {k: v for k, v in vec.items() if v}
+        # no tail holds a pivot key, so the clearing order is immaterial
+        for key in work.keys() & pivots.keys():
+            _subtract(work, work.pop(key), pivots[key])
+        if not work:
+            continue
+        key = min(work)
+        factor = Fraction(work.pop(key))
+        tail = {k: c / factor for k, c in work.items()}
+        for ptail in pivots.values():
+            if key in ptail:
+                _subtract(ptail, ptail.pop(key), tail)
+        pivots[key] = tail
+    return pivots
+
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form of dense rows.
 
-    Returns (reduced, pivots): the nonzero rows of the reduced matrix and
-    the pivot column of each.  Input rows are not modified.
+    Returns (reduced, pivots): the nonzero rows of the reduced matrix
+    as Fraction lists and the pivot column of each, in column order.
+    Input rows are not modified.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    assert all(len(row) == ncols for row in mat)
-    pivots = []
-    rank_so_far = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank_so_far, len(mat)):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank_so_far], mat[pivot_row] = mat[pivot_row], mat[rank_so_far]
-        inv = mat[rank_so_far][col]
-        if inv != 1:
-            mat[rank_so_far] = [x / inv for x in mat[rank_so_far]]
-        lead = mat[rank_so_far]
-        for i in range(len(mat)):
-            if i != rank_so_far and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], lead)]
-        pivots.append(col)
-        rank_so_far += 1
-        if rank_so_far == len(mat):
-            break
-    return mat[:rank_so_far], pivots
+    ncols = len(rows[0])
+    assert all(len(row) == ncols for row in rows)
+    basis = echelon(map(_sparse, rows))
+    pivots = sorted(basis)
+    reduced = []
+    for p in pivots:
+        row = [F0] * ncols
+        row[p] = F1
+        for k, c in basis[p].items():
+            row[k] = c
+        reduced.append(row)
+    return reduced, pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(echelon(map(_sparse, rows)))
 
 
 def nullspace(rows, ncols: int):
@@ -60,43 +91,33 @@ def nullspace(rows, ncols: int):
     One basis vector per free column, carrying 1 there; vectors are
     ordered by their free column.
     """
-    reduced, pivots = rref(rows)
     assert all(len(row) == ncols for row in rows)
-    pivot_set = set(pivots)
-    basis = []
+    basis = echelon(map(_sparse, rows))
+    kernel = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
-        basis.append(vec)
-    return basis
-
-
-def reduce_vector(vec, reduced, pivots):
-    """Remainder of vec after clearing its pivot coordinates with the
-    given reduced rows; the remainder is supported on free columns."""
-    out = [Fraction(x) for x in vec]
-    for row, p in zip(reduced, pivots):
-        if out[p]:
-            factor = out[p]
-            out = [a - factor * b for a, b in zip(out, row)]
-    return out
+        if free not in basis:
+            kernel[free] = [F0] * ncols
+            kernel[free][free] = F1
+    for p, tail in basis.items():
+        for free, c in tail.items():
+            kernel[free][p] = -c
+    return list(kernel.values())
 
 
 def in_span(vec, reduced, pivots) -> bool:
-    return not any(reduce_vector(vec, reduced, pivots))
+    """Whether vec lies in the span of the rows of an rref result."""
+    return rank([*reduced, vec]) == len(pivots)
 
 
-def same_row_space(rows_a, rows_b, ncols: int) -> bool:
-    if not rows_a and not rows_b:
-        return True
-    pad = [[Fraction(0)] * ncols]
-    ra = rref(list(rows_a) or pad)
-    rb = rref(list(rows_b) or pad)
-    return ra == rb
+def first_nonzero_product(rows, cols):
+    """First (i, j), columns scanned first, with rows[i] . cols[j]
+    nonzero, or None.  Vectors are dense and of one length."""
+    sparse_rows = [_sparse(row) for row in rows]
+    for j, col in enumerate(map(_sparse, cols)):
+        for i, row in enumerate(sparse_rows):
+            if sum(row[k] * col[k] for k in row.keys() & col.keys()):
+                return i, j
+    return None
 
 
 def primitive_integer_vector(vec):

@@ -288,17 +288,18 @@ def relations_K(m: int, n: int) -> RelationSet:
                 continue
             kernel = _kernel_rows(paths)
             structural = _structural_rows(quiver, s, t, paths)
-            if not linalg.same_row_space(kernel, structural, len(paths)):
+            reduced, pivots = linalg.rref(kernel)
+            structural_rref = linalg.rref(structural)
+            if (reduced, pivots) != structural_rref:
                 raise CertificationError(
                     f"relation block ({s}, {t}): structural generators do not "
                     f"span the evaluation kernel",
                     witness={
                         "block": (s, t),
-                        "kernel_dim": len(linalg.rref(kernel)[0]),
-                        "structural_dim": len(linalg.rref(structural)[0]),
+                        "kernel_dim": len(reduced),
+                        "structural_dim": len(structural_rref[0]),
                     },
                 )
-            reduced, _ = linalg.rref(kernel)
             blocks.append(
                 RelationBlock(s, t, paths, tuple(tuple(r) for r in reduced))
             )

@@ -261,11 +261,41 @@ def test_usage_negative_type(capsys):
     assert run(capsys, "dim", "-1", "2")[0] == 2
 
 
-def test_usage_bad_threads(capsys):
-    assert run(capsys, "dim", "1", "2", "--threads", "0")[0] == 2
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])
+@pytest.mark.parametrize(
+    "variable,argv",
+    [
+        ("ARCDUAL_CAPACITY", ("weights", "1", "1")),
+        ("ARCDUAL_BAR_CAPACITY", ("hh2", "1", "1", "--adams", "0", "--oracle", "bar")),
+        ("ARCDUAL_BAR_CAPACITY", ("verify", "1", "1")),
+    ],
+)
+def test_bad_capacity_variable_exits_3(capsys, monkeypatch, variable, argv, value):
+    monkeypatch.setenv(variable, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert variable in err
+    assert out == ""
 
 
-def test_threads_flag_does_not_change_output(capsys):
-    _, one, _ = run(capsys, "dim", "2", "2")
-    _, four, _ = run(capsys, "dim", "2", "2", "--threads", "4")
-    assert one == four
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", b"\xff\xfe", '{"lhs": 1}', '[{"rhs_t": []}]', '[{"lhs": 5}]'],
+)
+def test_diamond_deformed_bad_file_is_usage_error(tmp_path, capsys, content):
+    f = tmp_path / "cocycle.json"
+    if isinstance(content, bytes):
+        f.write_bytes(content)
+    elif content is not None:
+        f.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "diamond", "2", "2", "--deformed", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(f) in err
+
+
+def test_diamond_deformed_directory_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "diamond", "2", "2", "--deformed", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")

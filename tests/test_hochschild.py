@@ -223,6 +223,21 @@ def test_coboundary_satisfies_constraints_larger(m, n, q):
             assert sum(c * x for c, x in zip(crow, image)) == 0
 
 
+def test_certificate_rejects_coboundary_outside_the_kernel(monkeypatch):
+    # bump one coboundary entry on a coordinate the first constraint row
+    # reads, so the first coboundary column leaves the kernel
+    cons = hh.cocycle_constraints(2, 2, 0)
+    cob = hh.coboundary_matrix(2, 2, 0)
+    k = next(i for i, x in enumerate(cons.matrix[0]) if x)
+    rows = [list(r) for r in cob.matrix]
+    rows[k][0] += 1
+    corrupted = hh.ConstraintSystem(cob.rows, cob.cols, tuple(map(tuple, rows)))
+    monkeypatch.setattr(hh, "coboundary_matrix", lambda m, n, q: corrupted)
+    with pytest.raises(CertificationError, match="violates a cocycle constraint") as exc:
+        hh.hh2_certificate.__wrapped__(2, 2, 0)
+    assert exc.value.witness == {"cochain": cob.cols[0], "row": cons.rows[0]}
+
+
 # ---------------------------------------------------------------------------
 # dimensions and certificates
 

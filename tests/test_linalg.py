@@ -78,9 +78,39 @@ def test_rref_idempotent(rows):
 
 @given(matrices())
 def test_rref_preserves_row_space(rows):
-    ncols = len(rows[0]) if rows else 3
-    reduced, _ = linalg.rref(rows)
-    assert linalg.same_row_space(rows, reduced, ncols)
+    reduced, pivots = linalg.rref(rows)
+    assert linalg.rref(rows + reduced) == (reduced, pivots)
+
+
+@given(matrices())
+def test_rref_characterisation(rows):
+    reduced, pivots = linalg.rref(rows)
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(reduced, pivots):
+        assert row[p] == 1
+        assert not any(row[:p])
+        for other in reduced:
+            if other is not row:
+                assert other[p] == 0
+    assert all(isinstance(x, F) for row in reduced for x in row)
+
+
+@given(matrices().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+def test_echelon_ignores_vector_order(pair):
+    def as_dicts(rows):
+        return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+    rows, shuffled = pair
+    assert linalg.echelon(as_dicts(shuffled)) == linalg.echelon(as_dicts(rows))
+
+
+def test_echelon_fixture_labelled_keys():
+    vectors = [{("a", 1): F(2), ("b", 0): F(4)}, {("a", 1): F(1), ("c", 2): F(1)}]
+    assert linalg.echelon(vectors) == {
+        ("a", 1): {("c", 2): F(1)},
+        ("b", 0): {("c", 2): F(-1, 2)},
+    }
+    assert linalg.echelon([{}, {"x": F(0)}]) == {}
 
 
 @given(matrices())
@@ -90,11 +120,31 @@ def test_rows_lie_in_own_span(rows):
         assert linalg.in_span(row, reduced, pivots)
 
 
-def test_reduce_vector_clears_pivots():
-    reduced, pivots = linalg.rref(mat([[1, 0, 2], [0, 1, 3]]))
-    rem = linalg.reduce_vector(mat([[5, 7, 0]])[0], reduced, pivots)
-    assert rem[0] == 0 and rem[1] == 0
-    assert rem[2] == F(-31)
+def test_first_nonzero_product_fixture():
+    rows = mat([[1, 0, 1], [0, 1, 0]])
+    cols = mat([[1, 0, -1], [0, 0, 1], [0, 3, 0]])
+    assert linalg.first_nonzero_product(rows, cols) == (0, 1)
+    assert linalg.first_nonzero_product(rows, cols[:1]) is None
+    assert linalg.first_nonzero_product(rows, cols[2:]) == (1, 0)
+    assert linalg.first_nonzero_product([], cols) is None
+
+
+@given(matrices(), st.data())
+def test_first_nonzero_product_matches_dense(rows, data):
+    ncols = len(rows[0]) if rows else 3
+    cols = data.draw(
+        st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=4)
+    )
+    dense = next(
+        (
+            (i, j)
+            for j, col in enumerate(cols)
+            for i, row in enumerate(rows)
+            if sum(a * b for a, b in zip(row, col))
+        ),
+        None,
+    )
+    assert linalg.first_nonzero_product(rows, cols) == dense
 
 
 def test_in_span_negative():
