@@ -119,6 +119,30 @@ def idempotent(lam: str) -> ArcDiagram:
 
 
 @lru_cache(maxsize=None)
+def _orientation_table(m: int, n: int) -> dict[str, tuple[tuple[str, int], ...]]:
+    """For every weight lam of type (m, n), the shapes whose cup diagram
+    lam orients, canonically ordered, each with its clockwise cup count.
+
+    Built from the shape side: a cup diagram with k cups is oriented by
+    exactly 2**k weights.  Each cup reads v^ (counterclockwise) or ^v
+    (clockwise), and the ray marks are forced to ^...^v...v with n - k
+    up marks, since the cups use up k marks of each kind.
+    """
+    shapes = comb.enumerate_weights(m, n)
+    table: dict[str, list] = {lam: [] for lam in shapes}
+    for a in shapes:
+        diagram = cup_matching(a)
+        k = len(diagram.cups)
+        marks = [DOWN] * (m + n)
+        for t, p in enumerate(diagram.rays):
+            marks[p] = UP if t < n - k else DOWN
+        for bits in range(1 << k):
+            for c, (i, j) in enumerate(diagram.cups):
+                marks[i], marks[j] = (UP, DOWN) if bits >> c & 1 else (DOWN, UP)
+            table["".join(marks)].append((a, bits.bit_count()))
+    return {lam: tuple(entries) for lam, entries in table.items()}
+
+
 def oriented_shapes(lam: str) -> tuple[str, ...]:
     """Weights whose cup diagram is orientable by lam, canonically ordered.
 
@@ -126,12 +150,7 @@ def oriented_shapes(lam: str) -> tuple[str, ...]:
     orientable cap diagrams, so the basis diagrams with middle weight lam
     are exactly the pairs (shape, shape') of oriented shapes.
     """
-    m, n = comb.weight_type(lam)
-    return tuple(
-        a
-        for a in comb.enumerate_weights(m, n)
-        if _oriented_arcs_ok(a, lam) and _ray_pattern_ok(a, lam)
-    )
+    return tuple(a for a, _ in _orientation_table(*comb.weight_type(lam))[lam])
 
 
 def diagram_sort_key(d: ArcDiagram):
@@ -157,12 +176,21 @@ def enumerate_basis(m: int, n: int) -> tuple[ArcDiagram, ...]:
 
 
 def graded_dimension(m: int, n: int) -> dict[int, int]:
-    hist = Counter(degree(d) for d in enumerate_basis(m, n))
+    """Basis diagrams of type (m, n) counted by degree, without building
+    them.  Cups and caps of (a|lam|b) range independently over the shapes
+    lam orients, so the Poincare polynomial is sum over lam of P_lam(q)**2
+    with P_lam(q) = sum of q**cw(a, lam) over those shapes a."""
+    hist: Counter = Counter()
+    for entries in _orientation_table(m, n).values():
+        poly = Counter(cw for _, cw in entries)
+        for i, ci in poly.items():
+            for j, cj in poly.items():
+                hist[i + j] += ci * cj
     return dict(sorted(hist.items()))
 
 
 def dimension(m: int, n: int) -> int:
-    return len(enumerate_basis(m, n))
+    return sum(len(entries) ** 2 for entries in _orientation_table(m, n).values())
 
 
 def unit(m: int, n: int) -> dict[ArcDiagram, Fraction]:

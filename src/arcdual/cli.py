@@ -173,9 +173,9 @@ def cmd_diamond(args) -> int:
     if args.deformed:
         try:
             assignment = _load_deformation(args.deformed, system.quiver)
+            system = system.with_deformation(assignment)
         except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
             return _usage(f"cannot load deformation {args.deformed!r}: {exc}")
-        system = system.with_deformation(assignment)
     report = rw.check_diamond(system, args.fuel)
     print(f"overlaps {report.overlaps_checked}")
     if report.ok:

@@ -178,11 +178,17 @@ class ReductionSystem:
         raise KeyError(lhs_arrows)
 
     def with_deformation(self, assignment) -> "ReductionSystem":
-        """Copy with rhs_t set per rule; keys are rules or lhs arrow tuples."""
+        """Copy with rhs_t set per rule; keys are rules or lhs arrow tuples.
+
+        Raises ValueError naming any key that is no rule's left-hand side.
+        """
         table = {}
         for key, value in assignment.items():
             arrows = key.lhs.arrows if isinstance(key, Rule) else tuple(key)
             table[arrows] = value
+        unknown = sorted(table.keys() - {r.lhs.arrows for r in self.rules}, key=repr)
+        if unknown:
+            raise ValueError(f"not the left-hand side of any rule: {unknown!r}")
         rules = []
         for r in self.rules:
             if r.lhs.arrows in table:

@@ -5,8 +5,11 @@ and the wall-clock budget it must fit in.  Criterion 8 checks the
 cochain-space dimensions at the critical degree q = 2mn - 6, both the
 declared table and the computed bases, against counts taken from the
 Kazhdan-Lusztig convolution sum_kappa P_kappa,lam P_kappa,mu alone.
+Criterion 11 counts graded dimensions at sizes where enumerating the
+basis is out of reach, against the idempotents and the quiver arrows.
 """
 
+import math
 import random
 import time
 from collections import Counter
@@ -14,6 +17,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from arcdual import arc_algebra as alg
+from arcdual import cli
 from arcdual import combinatorics as comb
 from arcdual import hochschild as hh
 from arcdual import koszul
@@ -232,3 +236,19 @@ def test_10_oracle_agreement():
     with budget(600):
         for q in (0, 2, 4, 6):
             assert hh.hh2_bar_oracle(2, 2, q) == hh.hh2_dim(2, 2, q), q
+
+
+def test_11_dimension_by_counting_beyond_enumeration(monkeypatch, capsys):
+    monkeypatch.delenv(comb.CAPACITY_ENV, raising=False)
+    alg.enumerate_basis.cache_clear()
+    with budget(60):
+        for m, n in ((6, 6), (7, 6), (6, 7), (7, 7)):
+            graded = alg.graded_dimension(m, n)
+            # degree 0: the idempotents; degree 1: the arrows x and y
+            assert graded[0] == math.comb(m + n, m), (m, n)
+            assert graded[1] == len(presentation.build_quiver(m, n).arrows), (m, n)
+        assert alg.dimension(7, 6) == alg.dimension(6, 7)
+        assert cli.main(["dim", "7", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == f"total {alg.dimension(7, 7)}"
+    assert alg.enumerate_basis.cache_info().currsize == 0

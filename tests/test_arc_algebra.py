@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,11 +24,33 @@ def test_graded_dimension_type_1_2():
 
 
 def test_dimension_formulas_small():
-    for l in range(1, 4):
-        assert alg.dimension(l, 1) == 4 * l + 1
-    for l in range(1, 4):
-        assert alg.dimension(l, 2) == 8 * l * l + 14 * l - 13
+    for l in range(1, 13):
+        assert alg.dimension(1, l) == alg.dimension(l, 1) == 4 * l + 1
+        assert alg.dimension(2, l) == alg.dimension(l, 2) == 8 * l * l + 14 * l - 13
     assert alg.dimension(2, 2) == 47
+
+
+def _splits(max_points):
+    return [(m, t - m) for t in range(max_points + 1) for m in range(t + 1)]
+
+
+def test_graded_dimension_counts_the_enumerated_basis():
+    for m, n in _splits(8):
+        histogram = Counter(alg.degree(d) for d in alg.enumerate_basis(m, n))
+        assert alg.graded_dimension(m, n) == dict(sorted(histogram.items())), (m, n)
+        assert alg.dimension(m, n) == len(alg.enumerate_basis(m, n)), (m, n)
+
+
+def test_oriented_shapes_match_the_gluing_conditions():
+    for m, n in _splits(8):
+        shapes = comb.enumerate_weights(m, n)
+        for lam in shapes:
+            brute = tuple(
+                a
+                for a in shapes
+                if alg._oriented_arcs_ok(a, lam) and alg._ray_pattern_ok(a, lam)
+            )
+            assert alg.oriented_shapes(lam) == brute, lam
 
 
 def test_dimension_symmetry():

@@ -280,7 +280,16 @@ def test_bad_capacity_variable_exits_3(capsys, monkeypatch, variable, argv, valu
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", b"\xff\xfe", '{"lhs": 1}', '[{"rhs_t": []}]', '[{"lhs": 5}]'],
+    [
+        None,
+        "{not json",
+        b"\xff\xfe",
+        '{"lhs": 1}',
+        '[{"rhs_t": []}]',
+        '[{"lhs": 5}]',
+        '[{"lhs": ["not-an-arrow", "x"], "rhs_t": []}]',
+        '[{"lhs": ["xbar:^^vv->^v^v"], "rhs_t": []}]',
+    ],
 )
 def test_diamond_deformed_bad_file_is_usage_error(tmp_path, capsys, content):
     f = tmp_path / "cocycle.json"

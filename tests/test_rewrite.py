@@ -297,6 +297,13 @@ def test_deformed_diamond_rejects_non_cocycle():
     assert repr(path("y2", "y11", "x11")) in failing
 
 
+def test_with_deformation_rejects_unknown_lhs():
+    with pytest.raises(ValueError, match="not the left-hand side"):
+        build_system().with_deformation({path("x11", "y11").arrows: {}})
+    with pytest.raises(ValueError, match="not the left-hand side"):
+        build_system().with_deformation({path("y11").arrows: {}})
+
+
 def test_irreducible_path_enumeration(system):
     total = 0
     by_block = {}
