@@ -12,8 +12,8 @@ HH^2 in Adams degree q is
 
 Everything is exact over the rationals.  An independent oracle
 recomputes the same dimension from the reduced bar complex of the
-algebra on its irreducible-path basis; it is quadratic in the basis
-size and therefore guarded by a capacity limit.
+algebra on its irreducible-path basis; its elimination fills in
+steeply with the basis size, so it is guarded by a capacity limit.
 """
 
 from __future__ import annotations
@@ -682,9 +682,9 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
     irreducible-path basis.
 
     Independent of the deformation route: only normal-form products
-    enter.  Work grows quadratically in the number of positive basis
-    paths, so the computation refuses to start above the capacity
-    (parameter, else the ARCDUAL_BAR_CAPACITY variable, else 200).
+    enter.  The cost is elimination fill-in, steep in the number of
+    positive basis paths, so the computation refuses to start above the
+    capacity (parameter, else the ARCDUAL_BAR_CAPACITY variable, else 200).
     """
     limit = bar_capacity() if capacity is None else capacity
     positive = sum(
@@ -703,26 +703,18 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
         for w in _parallel(m, n, u.start, v.end, len(u.arrows) + len(v.arrows) + q):
             kw = path_key(w)
             col: dict = {}
-
-            def bump(key, value):
-                total = col.get(key, F0) + value
-                if total:
-                    col[key] = total
-                elif key in col:
-                    del col[key]
-
             for a in by_end.get(u.start, ()):
                 ka = path_key(a)
                 for t, c in _nf_terms(m, n, rw.compose(a, w)):
-                    bump((ka, ku, kv, path_key(t)), c)
+                    rw.add_term(col, (ka, ku, kv, path_key(t)), c)
             for a, b, g in containing.get(u, ()):
-                bump((path_key(a), path_key(b), kv, kw), -g)
+                rw.add_term(col, (path_key(a), path_key(b), kv, kw), -g)
             for b, c_, g in containing.get(v, ()):
-                bump((ku, path_key(b), path_key(c_), kw), g)
+                rw.add_term(col, (ku, path_key(b), path_key(c_), kw), g)
             for c_ in by_start.get(v.end, ()):
                 kc = path_key(c_)
                 for t, c in _nf_terms(m, n, rw.compose(w, c_)):
-                    bump((ku, kv, kc, path_key(t)), -c)
+                    rw.add_term(col, (ku, kv, kc, path_key(t)), -c)
             cols2.append(col)
 
     cols1 = []
@@ -731,24 +723,16 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
         for w in _parallel(m, n, u.start, u.end, len(u.arrows) + q):
             kw = path_key(w)
             col = {}
-
-            def bump(key, value):
-                total = col.get(key, F0) + value
-                if total:
-                    col[key] = total
-                elif key in col:
-                    del col[key]
-
             for a in by_end.get(u.start, ()):
                 ka = path_key(a)
                 for t, c in _nf_terms(m, n, rw.compose(a, w)):
-                    bump((ka, ku, path_key(t)), c)
+                    rw.add_term(col, (ka, ku, path_key(t)), c)
             for a, b, g in containing.get(u, ()):
-                bump((path_key(a), path_key(b), kw), -g)
+                rw.add_term(col, (path_key(a), path_key(b), kw), -g)
             for b in by_start.get(u.end, ()):
                 kb = path_key(b)
                 for t, c in _nf_terms(m, n, rw.compose(w, b)):
-                    bump((ku, kb, path_key(t)), c)
+                    rw.add_term(col, (ku, kb, path_key(t)), c)
             cols1.append(col)
 
     return len(cols2) - len(linalg.echelon(cols2)) - len(linalg.echelon(cols1))

@@ -5,9 +5,9 @@ ordered keys to exact numbers) to reduced row echelon form, taking
 pivots in key order.  That form is unique, so the result depends on
 the span of the input only.  `rref`, `rank`, `nullspace` and `in_span`
 are thin wrappers over dense rows; `first_nonzero_product` checks that
-a matrix product vanishes using the nonzero entries only.  Division
-stays exact in `Fraction`; at the sizes here (a few hundred sparse
-rows, entries of tiny height) fraction growth is a non-issue.
+a matrix product vanishes using the nonzero entries only.  Elimination
+is fraction-free: vectors are scaled to integers once, pivot rows stay
+integral, and only the returned tails are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -20,42 +20,65 @@ F1 = Fraction(1)
 
 
 def _sparse(row) -> dict:
-    return {j: Fraction(x) for j, x in enumerate(row) if x}
+    return {j: x for j, x in enumerate(row) if x}
 
 
-def _subtract(target: dict, factor, source: dict) -> None:
-    """target -= factor * source, dropping entries that cancel."""
-    for k, c in source.items():
-        value = target.get(k, F0) - factor * c
+def _integer_row(vec: dict) -> dict:
+    """The nonzero entries of vec times the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items() if v}
+
+
+def _divide_content(row: dict, sign: int = 1) -> None:
+    """Divide row by sign times the gcd of its entries."""
+    g = sign * gcd(*row.values())
+    for k in row:
+        row[k] //= g
+
+
+def _clear(target: dict, key, row: dict) -> None:
+    """Cancel target's entry c at key against row, whose lead there is l:
+    target = (l/g)·target - (c/g)·row, g = gcd(l, c)."""
+    g = gcd(row[key], target[key])
+    scale, factor = row[key] // g, target[key] // g
+    if scale != 1:
+        for k in target:
+            target[k] *= scale
+    for k, x in row.items():
+        value = target.get(k, 0) - factor * x
         if value:
             target[k] = value
-        elif k in target:
+        else:
             del target[k]
+    if scale != 1:
+        _divide_content(target)
 
 
 def echelon(vectors) -> dict:
     """Reduced row echelon form of the span of sparse vectors.
 
-    Returns {pivot key: tail}: the reduced row with that pivot is 1 at
-    the pivot key plus the tail.  Every tail key is larger than its
-    pivot key, and no tail holds a pivot key.
+    Returns {pivot key: tail} in key order: the reduced row with that
+    pivot is 1 at the pivot key plus the tail of Fractions.  Every tail
+    key is larger than its pivot key, and no tail holds a pivot key.
     """
-    pivots: dict = {}
+    rows: dict = {}  # pivot key -> integer row, positive at the pivot
     for vec in vectors:
-        work = {k: v for k, v in vec.items() if v}
-        # no tail holds a pivot key, so the clearing order is immaterial
-        for key in work.keys() & pivots.keys():
-            _subtract(work, work.pop(key), pivots[key])
+        work = _integer_row(vec)
+        # no row holds another pivot key, so the clearing order is immaterial
+        for key in work.keys() & rows.keys():
+            _clear(work, key, rows[key])
         if not work:
             continue
         key = min(work)
-        factor = Fraction(work.pop(key))
-        tail = {k: c / factor for k, c in work.items()}
-        for ptail in pivots.values():
-            if key in ptail:
-                _subtract(ptail, ptail.pop(key), tail)
-        pivots[key] = tail
-    return pivots
+        _divide_content(work, -1 if work[key] < 0 else 1)
+        for row in rows.values():
+            if key in row:
+                _clear(row, key, work)
+        rows[key] = work
+    return {
+        p: {k: Fraction(c, rows[p][p]) for k, c in rows[p].items() if k != p}
+        for p in sorted(rows)
+    }
 
 
 def rref(rows):
@@ -123,13 +146,6 @@ def first_nonzero_product(rows, cols):
 def primitive_integer_vector(vec):
     """Scale a rational vector to coprime integers with the first nonzero
     entry positive."""
-    fracs = [Fraction(x) for x in vec]
-    denominator = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denominator) for f in fracs]
-    g = gcd(*(abs(x) for x in ints)) if any(ints) else 1
-    if g > 1:
-        ints = [x // g for x in ints]
-    first = next((x for x in ints if x), 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
+    row = _integer_row(dict(enumerate(vec)))
+    _divide_content(row, -1 if next(iter(row.values()), 0) < 0 else 1)
+    return [row.get(j, 0) for j in range(len(vec))]

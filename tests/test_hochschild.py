@@ -335,6 +335,11 @@ def test_bar_oracle_agrees_at_critical_degree_with_raised_capacity():
         assert hh.hh2_bar_oracle(m, n, 2 * m * n - 6, capacity=500) == 1
 
 
+def test_bar_oracle_agrees_below_critical_degree_with_raised_capacity():
+    for m, n in ((3, 2), (2, 3)):
+        assert hh.hh2_bar_oracle(m, n, 4, capacity=421) == hh.hh2_dim(m, n, 4) == 1
+
+
 def test_bar_oracle_capacity():
     with pytest.raises(CapacityError):
         hh.hh2_bar_oracle(3, 2, 6)

@@ -113,6 +113,79 @@ def test_echelon_fixture_labelled_keys():
     assert linalg.echelon([{}, {"x": F(0)}]) == {}
 
 
+def _fraction_echelon(vectors) -> dict:
+    """Reference for `linalg.echelon`: the same loop in Fraction arithmetic."""
+
+    def subtract(target, factor, source):
+        for k, c in source.items():
+            value = target.get(k, F(0)) - factor * c
+            if value:
+                target[k] = value
+            elif k in target:
+                del target[k]
+
+    pivots: dict = {}
+    for vec in vectors:
+        work = {k: v for k, v in vec.items() if v}
+        for key in work.keys() & pivots.keys():
+            subtract(work, work.pop(key), pivots[key])
+        if not work:
+            continue
+        key = min(work)
+        factor = F(work.pop(key))
+        tail = {k: c / factor for k, c in work.items()}
+        for ptail in pivots.values():
+            if key in ptail:
+                subtract(ptail, ptail.pop(key), tail)
+        pivots[key] = tail
+    return pivots
+
+
+big_numbers = st.integers(min_value=-(10**6), max_value=10**6)
+sparse_vectors = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from("abc")),
+    st.one_of(
+        big_numbers, st.builds(F, big_numbers, st.integers(min_value=1, max_value=7))
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def vector_lists(draw):
+    vectors = draw(st.lists(sparse_vectors, max_size=8))
+    if vectors:
+        picked = draw(st.lists(st.sampled_from(vectors), max_size=3))
+        for vec in picked:
+            scale = draw(st.sampled_from([1, -2, F(3, 7)]))
+            vectors.append({k: scale * v for k, v in vec.items()})
+    vectors += draw(st.lists(st.sampled_from([{}, {(0, "a"): 0}, {(1, "b"): F(0)}])))
+    return draw(st.permutations(vectors))
+
+
+def assert_echelon_matches_reference(vectors):
+    before = [dict(vec) for vec in vectors]
+    result = linalg.echelon(vectors)
+    assert result == _fraction_echelon(vectors)
+    assert list(result) == sorted(result)
+    assert all(type(v) is F for tail in result.values() for v in tail.values())
+    assert vectors == before
+
+
+@given(vector_lists())
+def test_echelon_matches_fraction_reference(vectors):
+    assert_echelon_matches_reference(vectors)
+
+
+def test_echelon_fixture_non_unit_pivot():
+    # the second vector reduces to lead -2; clearing against it scales the
+    # first row, and back-substituting the third vector's pivot leaves the
+    # first two rows with content 2
+    vectors = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 3: 1}, {1: 1, 3: 1}]
+    assert linalg.echelon(vectors) == {0: {3: F(2)}, 1: {3: F(1)}, 2: {3: F(-3)}}
+    assert_echelon_matches_reference(vectors)
+
+
 @given(matrices())
 def test_rows_lie_in_own_span(rows):
     reduced, pivots = linalg.rref(rows)
