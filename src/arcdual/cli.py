@@ -3,8 +3,8 @@
 Every verb maps onto one library operation and prints deterministic
 output: rerunning a command gives byte-identical stdout.  Timings and
 diagnostics go to stderr.  Exit codes: 0 success, 1 certification
-failure (with the witness printed), 2 usage error, 3 capacity or fuel
-exhaustion.  Rational numbers appear in JSON as strings "p/q".
+failure (with the witness printed), 2 usage error, 3 capacity, fuel or
+memory exhaustion.  Rational numbers appear in JSON as strings "p/q".
 """
 
 import argparse
@@ -259,9 +259,11 @@ def cmd_hh2(args) -> int:
 
 
 def cmd_hh2_table(args) -> int:
-    for q, dim, seconds in hh.hh2_table(args.m, args.n):
+    for q in range(0, 2 * args.m * args.n - 1, 2):
+        started = time.perf_counter()
+        dim = hh.hh2_dim(args.m, args.n, q)
         print(f"{q} {dim}")
-        print(f"{q} {seconds:.3f}s", file=sys.stderr)
+        print(f"{q} {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -466,6 +468,9 @@ def main(argv=None) -> int:
         witness = getattr(exc, "witness", None)
         if witness is not None:
             print(f"witness: {witness}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory in {args.verb} {args.m} {args.n}", file=sys.stderr)
         return 3
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ steeply with the basis size, so it is guarded by a capacity limit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +26,7 @@ from . import linalg
 from . import rewrite as rw
 from .combinatorics import env_capacity, sort_key
 from .errors import CapacityError, CertificationError
-from .koszul import reduction_system, staircase_chart
+from .koszul import irreducible_basis, reduction_system, staircase_chart
 from .presentation import dual_arrow
 from .rewrite import DEFAULT_FUEL, Path, path_key
 
@@ -59,32 +58,10 @@ class Cochain1:
     path: Path
 
 
-@lru_cache(maxsize=None)
-def _irr_index(m: int, n: int) -> dict:
-    """All irreducible paths, bucketed by (start, end, length).
-
-    Enumerates one level past the expected top length 2mn; since every
-    prefix of an irreducible path is irreducible, an empty extra level
-    certifies that the enumeration is complete.
-    """
-    system = reduction_system(m, n)
-    top = 2 * m * n
-    buckets: dict = {}
-    for source in sorted(system.quiver.vertices, key=sort_key):
-        for p in rw.irreducible_paths_from(system, source, top + 1):
-            if len(p.arrows) > top:
-                raise CertificationError(
-                    "irreducible path above the expected top length",
-                    witness={"m": m, "n": n, "path": repr(p)},
-                )
-            buckets.setdefault((p.start, p.end, len(p.arrows)), []).append(p)
-    return {k: tuple(sorted(v, key=path_key)) for k, v in buckets.items()}
-
-
 def _parallel(m: int, n: int, start: str, end: str, length: int):
     if length < 0:
         return ()
-    return _irr_index(m, n).get((start, end, length), ())
+    return irreducible_basis(m, n).get((start, end, length), ())
 
 
 @lru_cache(maxsize=None)
@@ -400,13 +377,8 @@ def hh2_dim(m: int, n: int, q: int) -> int:
 
 
 def hh2_table(m: int, n: int):
-    """Rows (q, dim HH^2_q, seconds) for even q up to the top degree."""
-    rows = []
-    for q in range(0, 2 * m * n - 1, 2):
-        t0 = time.perf_counter()
-        d = hh2_dim(m, n, q)
-        rows.append((q, d, time.perf_counter() - t0))
-    return tuple(rows)
+    """Rows (q, dim HH^2_q) for even q up to the top degree."""
+    return tuple((q, hh2_dim(m, n, q)) for q in range(0, 2 * m * n - 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +628,7 @@ def _bar_data(m: int, n: int):
     pos = sorted(
         (
             p
-            for (s, e, length), bucket in _irr_index(m, n).items()
+            for (s, e, length), bucket in irreducible_basis(m, n).items()
             if length > 0
             for p in bucket
         ),
@@ -688,7 +660,7 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
     """
     limit = bar_capacity() if capacity is None else capacity
     positive = sum(
-        len(bucket) for (s, e, length), bucket in _irr_index(m, n).items() if length > 0
+        len(b) for (_, _, length), b in irreducible_basis(m, n).items() if length > 0
     )
     if positive > limit:
         raise CapacityError(

@@ -18,6 +18,13 @@ the ideal.  The longer rules take the signed alternate staircase as
 right-hand side and are certified by exact membership of lhs - rhs in
 the padded quadratic ideal.
 
+The irreducible paths of the reduction system are the basis of the
+dual algebra.  `irreducible_basis` enumerates them once per size,
+bucketed by (start, end, length), and certifies that the enumeration
+is complete: it runs one level past the top length 2mn, and an
+irreducible path found there raises CertificationError.  The KL checks
+below and every Hochschild computation read this one index.
+
 Kazhdan-Lusztig polynomials, computed by the cup-deletion recursion,
 grade the irreducible paths: the coefficient of q^k counts ascending
 irreducible paths of length k, and the number of irreducible paths
@@ -31,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import combinatorics as comb
 from . import linalg
@@ -581,6 +589,32 @@ def ascending_irr_count(lam: str, mu: str, k: int) -> int:
 # certification
 
 
+@lru_cache(maxsize=None)
+def irreducible_basis(m: int, n: int) -> MappingProxyType:
+    """All irreducible paths, bucketed by (start, end, length), each
+    bucket in path_key order.  The mapping is cached and shared, so it
+    is read-only.
+
+    Enumerates one level past the expected top length 2mn; since every
+    prefix of an irreducible path is irreducible, an empty extra level
+    certifies that the enumeration is complete.
+    """
+    system = reduction_system(m, n)
+    top = 2 * m * n
+    buckets: dict = {}
+    for source in sorted(system.quiver.vertices, key=comb.sort_key):
+        for p in irreducible_paths_from(system, source, top + 1):
+            if len(p.arrows) > top:
+                raise CertificationError(
+                    "irreducible path above the expected top length",
+                    witness={"m": m, "n": n, "path": repr(p)},
+                )
+            buckets.setdefault((p.start, p.end, len(p.arrows)), []).append(p)
+    return MappingProxyType(
+        {k: tuple(sorted(v, key=path_key)) for k, v in buckets.items()}
+    )
+
+
 @dataclass(frozen=True)
 class DualSystemReport:
     ok: bool
@@ -599,14 +633,11 @@ def certify_dual_system(
     the inner product of the KL columns at q = 1; disagreements are
     reported with both numbers rather than resolved either way.
     """
-    system = reduction_system(m, n)
-    diamond = check_diamond(system, fuel)
+    diamond = check_diamond(reduction_system(m, n), fuel)
     weights = comb.enumerate_weights(m, n)
     counts: dict[tuple[str, str], int] = {}
-    for source in weights:
-        for p in irreducible_paths_from(system, source, 2 * m * n):
-            key = (source, p.end)
-            counts[key] = counts.get(key, 0) + 1
+    for (start, end, _), bucket in irreducible_basis(m, n).items():
+        counts[(start, end)] = counts.get((start, end), 0) + len(bucket)
     at_one = {
         (kappa, lam): kl_poly(kappa, lam).at_one()
         for kappa in weights
@@ -644,13 +675,8 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     the dual algebra, not just its total, so any miscounted homogeneous
     component anywhere in the irreducible-path basis shows up here.
     """
-    system = reduction_system(m, n)
+    basis = irreducible_basis(m, n)
     weights = comb.enumerate_weights(m, n)
-    counts: dict[tuple[str, str, int], int] = {}
-    for source in weights:
-        for p in irreducible_paths_from(system, source, 2 * m * n):
-            key = (source, p.end, len(p.arrows))
-            counts[key] = counts.get(key, 0) + 1
     polys = {
         (kappa, lam): kl_poly(kappa, lam).coefficients
         for kappa in weights
@@ -669,7 +695,7 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
             degrees = set(range(2 * m * n + 1)) | set(expected)
             for i in sorted(degrees):
                 buckets += 1
-                got = counts.get((lam, mu, i), 0)
+                got = len(basis.get((lam, mu, i), ()))
                 want = expected.get(i, 0)
                 if got != want:
                     mismatches.append((lam, mu, i, got, want))

@@ -425,17 +425,3 @@ def irreducible_paths_from(
     found.sort(key=path_key)
     return tuple(found)
 
-
-def irreducible_paths_between(
-    system: ReductionSystem,
-    source: str,
-    target: str,
-    max_len: int,
-    length: int | None = None,
-) -> tuple[Path, ...]:
-    paths = irreducible_paths_from(system, source, max_len)
-    return tuple(
-        p
-        for p in paths
-        if p.end == target and (length is None or len(p.arrows) == length)
-    )

@@ -181,6 +181,17 @@ def test_hh2_bar_oracle_capacity_exit(capsys):
     assert "capacity" in err
 
 
+def test_out_of_memory_is_a_resource_exit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.hh, "hh2_bar_oracle", exhausted)
+    code, out, err = run(capsys, "hh2", "2", "2", "--adams", "0", "--oracle", "bar")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory")
+
+
 def test_hh2_bar_oracle_env_capacity(capsys, monkeypatch):
     monkeypatch.setenv("ARCDUAL_BAR_CAPACITY", "500")
     code, out, _ = run(capsys, "hh2", "3", "2", "--adams", "6", "--oracle", "bar")

@@ -309,9 +309,7 @@ def test_dim_transpose_symmetry():
 
 
 def test_hh2_table_22():
-    rows = hh.hh2_table(2, 2)
-    assert [(q, d) for q, d, _ in rows] == sorted(TABLE_22.items())
-    assert all(seconds >= 0 for _, _, seconds in rows)
+    assert hh.hh2_table(2, 2) == tuple(sorted(TABLE_22.items()))
 
 
 # ---------------------------------------------------------------------------

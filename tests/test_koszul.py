@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arcdual import cli
 from arcdual import combinatorics as comb
 from arcdual import koszul as K
+from arcdual import rewrite as rw
 from arcdual.errors import CertificationError
 from arcdual.presentation import build_quiver, paths_of_length_two, relations_K
 from arcdual.rewrite import (
     ReductionSystem,
-    irreducible_paths_between,
+    irreducible_paths_from,
     make_path,
     make_rule,
     normal_form,
+    path_key,
 )
 from test_rewrite import A, RULES_22, path
 
@@ -350,6 +353,76 @@ def test_certify_graded_dimensions(m, n, buckets):
     assert report.mismatches == ()
 
 
+def test_irreducible_basis_buckets_the_enumeration(sys22):
+    basis = K.irreducible_basis(2, 2)
+    for (start, end, length), bucket in basis.items():
+        assert bucket == tuple(sorted(bucket, key=path_key))
+        assert all((p.start, p.end, len(p)) == (start, end, length) for p in bucket)
+    flat = sorted((p for bucket in basis.values() for p in bucket), key=path_key)
+    direct = sorted(
+        (
+            p
+            for v in sys22.quiver.vertices
+            for p in irreducible_paths_from(sys22, v, 8)
+        ),
+        key=path_key,
+    )
+    assert flat == direct
+    assert len(flat) == 97
+
+
+def test_irreducible_basis_certifies_completeness(monkeypatch, sys22):
+    # without this peak rule the enumeration runs past the top length 2mn
+    dropped = ("ybar:^v^v->^^vv", "xbar:^^vv->^v^v")
+    rules = [r for r in sys22.rules if r.lhs.arrows != dropped]
+    assert len(rules) == len(sys22.rules) - 1
+    broken = ReductionSystem(sys22.quiver, rules)
+    monkeypatch.setattr(K, "reduction_system", lambda m, n: broken)
+    with pytest.raises(
+        CertificationError, match="irreducible path above the expected top length"
+    ) as info:
+        K.irreducible_basis.__wrapped__(2, 2)
+    assert info.value.witness["m"] == info.value.witness["n"] == 2
+
+
+def test_certificates_report_a_missing_basis_path(monkeypatch):
+    full = K.irreducible_basis(2, 2)
+    key = max(full, key=lambda k: (len(full[k]), k))
+    start, end, length = key
+    want = len(full[key])
+    assert want > 1
+    block = sum(len(b) for (s, e, _), b in full.items() if (s, e) == (start, end))
+    short = dict(full)
+    short[key] = full[key][1:]
+    monkeypatch.setattr(K, "irreducible_basis", lambda m, n: short)
+
+    dual = K.certify_dual_system(2, 2)
+    assert not dual.ok
+    assert dual.diamond.ok
+    assert dual.dimension == 96
+    assert dual.mismatches == ((start, end, block - 1, block),)
+
+    graded = K.certify_graded_dimensions(2, 2)
+    assert not graded.ok
+    assert graded.mismatches == ((start, end, length, want - 1, want),)
+
+
+def test_verify_enumerates_the_basis_once_per_vertex(monkeypatch, capsys):
+    calls = []
+    original = rw.irreducible_paths_from
+
+    def counting(system, source, max_len):
+        calls.append(source)
+        return original(system, source, max_len)
+
+    monkeypatch.setattr(rw, "irreducible_paths_from", counting)
+    monkeypatch.setattr(K, "irreducible_paths_from", counting)
+    K.irreducible_basis.cache_clear()
+    assert cli.main(["verify", "4", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == len(comb.enumerate_weights(4, 3)) == 35
+
+
 def test_certify_catches_a_corrupted_sign(sys22):
     rules = []
     for r in sys22.rules:
@@ -364,9 +437,9 @@ def test_certify_catches_a_corrupted_sign(sys22):
     assert not check_diamond(broken).ok
 
 
-def test_top_block_is_one_dimensional(sys22):
+def test_top_block_is_one_dimensional():
     top = comb.highest_weight(2, 2)
-    paths = irreducible_paths_between(sys22, top, top, 8, length=8)
+    paths = K.irreducible_basis(2, 2)[(top, top, 8)]
     assert len(paths) == 1
     arrows = paths[0].arrows
     assert all(a.startswith("xbar:") for a in arrows[:4])
@@ -376,7 +449,7 @@ def test_top_block_is_one_dimensional(sys22):
 def test_paths_beyond_twice_the_grading_vanish(sys22):
     qbar = sys22.quiver
     top = comb.highest_weight(2, 2)
-    long_path = irreducible_paths_between(sys22, top, top, 8, length=8)[0]
+    long_path = K.irreducible_basis(2, 2)[(top, top, 8)][0]
     for arrow in qbar.out[long_path.end]:
         extended = make_path(qbar, list(long_path.arrows) + [arrow.name])
         assert normal_form(extended, sys22) == {}

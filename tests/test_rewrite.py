@@ -324,9 +324,15 @@ def test_irreducible_path_enumeration(system):
 
 
 def test_irreducible_paths_between(system):
-    found = rw.irreducible_paths_between(system, "vv^^", "^^vv", max_len=10)
+    found = [
+        p
+        for p in rw.irreducible_paths_from(system, "vv^^", max_len=10)
+        if p.end == "^^vv"
+    ]
     assert [len(p) for p in found] == [4]
-    exact = rw.irreducible_paths_between(
-        system, "^v^v", "^v^v", max_len=10, length=6
-    )
+    exact = [
+        p
+        for p in rw.irreducible_paths_from(system, "^v^v", max_len=10)
+        if p.end == "^v^v" and len(p) == 6
+    ]
     assert len(exact) == 1
