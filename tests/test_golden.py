@@ -1,5 +1,8 @@
 """Golden stdout: every verb at (2,2), (3,2) and (2,3), byte for byte.
 
+At (2,4), the smallest golden size whose reduction system has left-hand
+sides of lengths 2, 3 and 4, the rewriting verbs are pinned as well.
+
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
 timings and is not compared.  The files pin behaviour across
@@ -37,7 +40,13 @@ COMMANDS = [
     (verb[0], m, n, *verb[1:])
     for m, n in (("2", "2"), ("3", "2"), ("2", "3"))
     for verb in VERBS
-] + [("hh2", "2", "2", "--adams", "0", "--oracle", "bar")]
+] + [
+    ("hh2", "2", "2", "--adams", "0", "--oracle", "bar"),
+    ("reduction-system", "2", "4"),
+    ("diamond", "2", "4"),
+    ("deform", "2", "4", "--emit-relations"),
+    ("verify", "2", "4"),
+]
 
 
 def slug(argv) -> str:
