@@ -460,6 +460,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.m < 0 or args.n < 0:
         return _usage(f"type ({args.m}, {args.n}) is not valid")
+    if getattr(args, "fuel", 0) < 0:
+        return _usage(f"--fuel must be at least 0, got {args.fuel}")
     started = time.monotonic()
     try:
         code = args.func(args)

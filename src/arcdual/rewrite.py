@@ -129,42 +129,36 @@ def make_rule(lhs: Path, rhs, rhs_t=None, tag: str = "") -> Rule:
     )
 
 
-def _contains(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    k = len(needle)
-    return any(haystack[i : i + k] == needle for i in range(len(haystack) - k + 1))
-
-
 class ReductionSystem:
-    """Validated rule set over a quiver, indexed by the first lhs arrow."""
+    """Validated rule set over a quiver; `by_lhs` maps each lhs arrow
+    tuple to its rule, and `lhs_lengths` lists the lengths it holds."""
 
     def __init__(self, quiver: Quiver, rules):
         self.quiver = quiver
         self.rules = tuple(sorted(rules, key=lambda r: path_key(r.lhs)))
-        index: dict[str, list[Rule]] = {}
-        for r in self.rules:
-            index.setdefault(r.lhs.arrows[0], []).append(r)
-        self.index = {a: tuple(rs) for a, rs in index.items()}
+        self.by_lhs: dict[tuple[str, ...], Rule] = {}
         self.lhs_lengths = tuple(sorted({len(r.lhs) for r in self.rules}))
         self._validate()
 
     def _validate(self):
-        seen = set()
         for r in self.rules:
             if len(r.lhs) < 2:
                 raise ValueError(f"lhs too short: {r.lhs!r}")
-            if r.lhs.arrows in seen:
+            if r.lhs.arrows in self.by_lhs:
                 raise ValueError(f"duplicate lhs {r.lhs!r}")
-            seen.add(r.lhs.arrows)
+            self.by_lhs[r.lhs.arrows] = r
             for part in (r.rhs, r.rhs_t):
                 for p, _ in part:
                     if (p.start, p.end) != (r.lhs.start, r.lhs.end):
                         raise ValueError(f"{p!r} not parallel to lhs {r.lhs!r}")
         for r in self.rules:
-            for s in self.rules:
-                if r is not s and _contains(r.lhs.arrows, s.lhs.arrows):
-                    raise ValueError(
-                        f"lhs {s.lhs!r} occurs inside lhs {r.lhs!r}"
-                    )
+            a = r.lhs.arrows
+            segments = {a[i : i + k] for k in self.lhs_lengths
+                        for i in range(len(a) - k + 1)}
+            inner = [self.by_lhs[x] for x in segments - {a} if x in self.by_lhs]
+            if inner:
+                s = min(inner, key=lambda t: path_key(t.lhs))
+                raise ValueError(f"lhs {s.lhs!r} occurs inside lhs {r.lhs!r}")
         for r in self.rules:
             for part in (r.rhs, r.rhs_t):
                 for p, _ in part:
@@ -172,10 +166,7 @@ class ReductionSystem:
                         raise ValueError(f"reducible right hand side {p!r}")
 
     def rule_for(self, lhs_arrows: tuple[str, ...]) -> Rule:
-        for r in self.index.get(lhs_arrows[0], ()):
-            if r.lhs.arrows == lhs_arrows:
-                return r
-        raise KeyError(lhs_arrows)
+        return self.by_lhs[lhs_arrows]
 
     def with_deformation(self, assignment) -> "ReductionSystem":
         """Copy with rhs_t set per rule; keys are rules or lhs arrow tuples.
@@ -205,10 +196,14 @@ def leftmost_redex(path: Path, system: ReductionSystem):
     """Position and rule of the first redex, or None. At most one rule
     can match at a fixed position since no lhs occurs inside another."""
     arrows = path.arrows
-    for i in range(len(arrows)):
-        for rule in system.index.get(arrows[i], ()):
-            k = len(rule.lhs.arrows)
-            if arrows[i : i + k] == rule.lhs.arrows:
+    n = len(arrows)
+    by_lhs = system.by_lhs
+    for i in range(n - 1):
+        for k in system.lhs_lengths:
+            if i + k > n:
+                break
+            rule = by_lhs.get(arrows[i : i + k])
+            if rule is not None:
                 return i, rule
     return None
 
@@ -317,18 +312,23 @@ class Overlap:
 
 
 def enumerate_overlaps(system: ReductionSystem) -> tuple[Overlap, ...]:
+    """Every overlap, stably sorted by word.  Rules are sorted by length
+    first, so for one left rule and one word a longer shared part means a
+    later right rule: the (left, shared, right) loop below yields equal
+    words in (left, right, shared) rule order."""
+    starts: dict[tuple[str, ...], list[Rule]] = {}
+    for right in system.rules:
+        ra = right.lhs.arrows
+        for shared in range(1, len(ra)):
+            starts.setdefault(ra[:shared], []).append(right)
     out = []
     for left in system.rules:
-        for right in system.rules:
-            la, ra = left.lhs.arrows, right.lhs.arrows
-            for shared in range(1, min(len(la), len(ra))):
-                if la[len(la) - shared :] == ra[:shared]:
-                    word = Path(
-                        left.lhs.start,
-                        la + ra[shared:],
-                        right.lhs.end,
-                    )
-                    out.append(Overlap(left, right, shared, word))
+        la = left.lhs.arrows
+        for shared in range(1, len(la)):
+            for right in starts.get(la[len(la) - shared :], ()):
+                ra = right.lhs.arrows
+                word = Path(left.lhs.start, la + ra[shared:], right.lhs.end)
+                out.append(Overlap(left, right, shared, word))
     out.sort(key=lambda o: path_key(o.word))
     return tuple(out)
 
@@ -397,11 +397,9 @@ def _extension_reducible(arrows: tuple[str, ...], system: ReductionSystem) -> bo
     n = len(arrows)
     for k in system.lhs_lengths:
         if k > n:
-            continue
-        seg = arrows[n - k :]
-        for rule in system.index.get(seg[0], ()):
-            if rule.lhs.arrows == seg:
-                return True
+            break
+        if arrows[n - k :] in system.by_lhs:
+            return True
     return False
 
 

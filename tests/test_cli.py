@@ -272,6 +272,22 @@ def test_usage_negative_type(capsys):
     assert run(capsys, "dim", "-1", "2")[0] == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "-5", "abc"])
+@pytest.mark.parametrize("verb", ["diamond", "deform", "verify"])
+def test_bad_fuel_is_usage_error(capsys, verb, value):
+    code, out, err = run(capsys, verb, "2", "2", "--fuel", value)
+    assert code == 2
+    assert out == ""
+    assert "--fuel" in err
+
+
+@pytest.mark.parametrize("verb", ["diamond", "deform", "verify"])
+def test_zero_fuel_is_exhausted(capsys, verb):
+    code, _, err = run(capsys, verb, "2", "2", "--fuel", "0")
+    assert code == 3
+    assert "rewriting fuel exhausted" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])
 @pytest.mark.parametrize(
     "variable,argv",

@@ -5,10 +5,12 @@ out rule by rule; its normal forms, overlap words, and deformation
 behaviour are all known in closed form.
 """
 
+import types
 from fractions import Fraction
 
 import pytest
 
+from arcdual import koszul
 from arcdual import rewrite as rw
 from arcdual.errors import FuelError
 from arcdual.presentation import build_quiver
@@ -135,6 +137,45 @@ def test_validation_rejects_nested_lhs():
         rw.ReductionSystem(QBAR, rules)
 
 
+def _pairwise_nested_message(rules):
+    """The rule-by-rule containment scan that validation replaced."""
+    rules = sorted(rules, key=lambda r: rw.path_key(r.lhs))
+    for r in rules:
+        for s in rules:
+            a, k = r.lhs.arrows, len(s.lhs)
+            if r is not s and any(
+                a[i : i + k] == s.lhs.arrows for i in range(len(a) - k + 1)
+            ):
+                return f"lhs {s.lhs!r} occurs inside lhs {r.lhs!r}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "extra,inner",
+    [
+        # a length-two lhs at the start of a length-three lhs
+        ((("y21", "x21", "x22"),), ("y21", "x21")),
+        # a length-two lhs in the middle of a length-four lhs
+        ((("y21", "y11", "x11", "x21"),), ("y11", "x11")),
+        # a length-two lhs at the end of a length-three lhs
+        ((("x21", "y21", "x2"),), ("y21", "x2")),
+        # prefix, middle and end: the message names the first in rule order
+        ((("y2", "y11", "x11", "x2"),), ("x11", "x2")),
+        # a length-three lhs at the end of a length-four lhs
+        ((("x21", "x22", "x32"), ("x11", "x21", "x22", "x32")), ("x21", "x22", "x32")),
+    ],
+)
+def test_validation_names_the_nested_lhs_as_the_pairwise_scan(extra, inner):
+    rules = [
+        rw.make_rule(path(*lhs), comb(rhs)) for lhs, rhs in RULES_22.items()
+    ]
+    rules += [rw.make_rule(path(*lhs), {}) for lhs in extra]
+    with pytest.raises(ValueError, match="occurs inside") as err:
+        rw.ReductionSystem(QBAR, rules)
+    assert str(err.value) == _pairwise_nested_message(rules)
+    assert str(err.value).startswith(f"lhs {path(*inner)!r} occurs inside")
+
+
 def test_validation_rejects_reducible_rhs():
     bad = dict(RULES_22)
     bad[("y2", "x2")] = {("y32", "x32"): 1}
@@ -191,6 +232,42 @@ def test_overlap_words(system):
     assert words == {tuple(A[s] for s in w) for w in expected}
 
 
+def _pairwise_overlaps(system):
+    """The rule-by-rule overlap scan that enumerate_overlaps replaced."""
+    out = []
+    for left in system.rules:
+        for right in system.rules:
+            la, ra = left.lhs.arrows, right.lhs.arrows
+            for shared in range(1, min(len(la), len(ra))):
+                if la[len(la) - shared :] == ra[:shared]:
+                    word = rw.Path(left.lhs.start, la + ra[shared:], right.lhs.end)
+                    out.append(rw.Overlap(left, right, shared, word))
+    out.sort(key=lambda o: rw.path_key(o.word))
+    return tuple(out)
+
+
+def test_overlaps_on_one_word_keep_rule_order():
+    # Nested left-hand sides, so no ReductionSystem accepts these rules;
+    # the word y2 y11 x11 x21 is reached through two (right, shared) pairs.
+    lhss = (("y2", "y11", "x11"), ("x11", "x21"), ("y11", "x11", "x21"))
+    rules = sorted(
+        (rw.make_rule(path(*lhs), {}) for lhs in lhss),
+        key=lambda r: rw.path_key(r.lhs),
+    )
+    stand_in = types.SimpleNamespace(rules=tuple(rules))
+    got = rw.enumerate_overlaps(stand_in)
+    assert got == _pairwise_overlaps(stand_in)
+    on_word = [
+        (o.left.lhs, o.right.lhs, o.shared)
+        for o in got
+        if o.word == path("y2", "y11", "x11", "x21")
+    ]
+    assert on_word == [
+        (path("y2", "y11", "x11"), path("x11", "x21"), 1),
+        (path("y2", "y11", "x11"), path("y11", "x11", "x21"), 2),
+    ]
+
+
 def test_diamond_holds(system):
     report = rw.check_diamond(system)
     assert report.ok
@@ -214,7 +291,7 @@ def _brute_force_nf(x, system, pick):
         coeff = work.pop(p)
         hits = []
         for i in range(len(p.arrows)):
-            for rule in system.index.get(p.arrows[i], ()):
+            for rule in system.rules:
                 k = len(rule.lhs.arrows)
                 if p.arrows[i : i + k] == rule.lhs.arrows:
                     hits.append((i, rule))
@@ -336,3 +413,83 @@ def test_irreducible_paths_between(system):
         if p.end == "^v^v" and len(p) == 6
     ]
     assert len(exact) == 1
+
+
+# ---------------------------------------------------------------------------
+# the lhs table against rule-by-rule scans, at sizes with longer lhs
+
+
+@pytest.fixture(scope="module", params=[(2, 4), (3, 3), (3, 4)], ids=str)
+def dual_system(request):
+    return koszul.reduction_system(*request.param)
+
+
+def _paths_from(quiver, source, max_len):
+    stack = [rw.Path(source, (), source)]
+    while stack:
+        p = stack.pop()
+        yield p
+        if len(p) < max_len:
+            for a in quiver.out[p.end]:
+                stack.append(rw.Path(source, p.arrows + (a.name,), a.target))
+
+
+def _scan_redex(p, rules):
+    for i in range(len(p.arrows)):
+        for rule in rules:
+            if p.arrows[i : i + len(rule.lhs)] == rule.lhs.arrows:
+                return i, rule
+    return None
+
+
+def test_dual_system_has_longer_lhs(dual_system):
+    assert dual_system.lhs_lengths[:2] == (2, 3)
+
+
+def test_enumerate_overlaps_matches_pairwise_scan(dual_system):
+    got = rw.enumerate_overlaps(dual_system)
+    want = _pairwise_overlaps(dual_system)
+    assert got == want
+    assert all(g.left is w.left and g.right is w.right for g, w in zip(got, want))
+
+
+def test_leftmost_redex_matches_scan(dual_system):
+    quiver = dual_system.quiver
+    samples = [o.word for o in rw.enumerate_overlaps(dual_system)]
+    for rule in dual_system.rules:
+        lhs = rule.lhs
+        for a in quiver.out[lhs.end]:
+            samples.append(rw.Path(lhs.start, lhs.arrows + (a.name,), a.target))
+        for v in quiver.vertices:
+            for a in quiver.out[v]:
+                if a.target == lhs.start:
+                    samples.append(rw.Path(v, (a.name,) + lhs.arrows, lhs.end))
+    for v in quiver.vertices:
+        samples.extend(_paths_from(quiver, v, 3))
+    hits = 0
+    for p in samples:
+        want = _scan_redex(p, dual_system.rules)
+        assert rw.leftmost_redex(p, dual_system) == want, p
+        hits += want is not None
+    assert hits > len(dual_system.rules)
+
+
+def test_irreducible_paths_match_brute_force(dual_system):
+    max_len = max(dual_system.lhs_lengths)
+    for v in dual_system.quiver.vertices:
+        want = sorted(
+            (
+                p
+                for p in _paths_from(dual_system.quiver, v, max_len)
+                if rw.is_irreducible(p, dual_system)
+            ),
+            key=rw.path_key,
+        )
+        assert list(rw.irreducible_paths_from(dual_system, v, max_len)) == want
+
+
+def test_rule_for_is_the_lhs_table(dual_system):
+    for rule in dual_system.rules:
+        assert dual_system.rule_for(rule.lhs.arrows) is rule
+    with pytest.raises(KeyError):
+        dual_system.rule_for(dual_system.rules[0].lhs.arrows[:1])
