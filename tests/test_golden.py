@@ -1,7 +1,8 @@
 """Golden stdout: every verb at (2,2), (3,2) and (2,3), byte for byte.
 
 At (2,4), the smallest golden size whose reduction system has left-hand
-sides of lengths 2, 3 and 4, the rewriting verbs are pinned as well.
+sides of lengths 2, 3 and 4, the rewriting and HH^2 verbs are pinned as
+well.
 
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
@@ -46,6 +47,8 @@ COMMANDS = [
     ("diamond", "2", "4"),
     ("deform", "2", "4", "--emit-relations"),
     ("verify", "2", "4"),
+    ("hh2-table", "2", "4"),
+    ("hh2", "2", "4", "--adams", "10", "--json"),
 ]
 
 
