@@ -174,7 +174,9 @@ def cmd_diamond(args) -> int:
         try:
             assignment = _load_deformation(args.deformed, system.quiver)
             system = system.with_deformation(assignment)
-        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (
+            OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError
+        ) as exc:
             return _usage(f"cannot load deformation {args.deformed!r}: {exc}")
     report = rw.check_diamond(system, args.fuel)
     print(f"overlaps {report.overlaps_checked}")
@@ -278,6 +280,9 @@ def cmd_deform(args) -> int:
         for lhs, terms in hh.extract_cocycle(args.m, args.n, q).items():
             cocycle[lhs] = {p: c * scale for p, c in terms.items()}
     report = hh.deformed_algebra(args.m, args.n, cocycle, args.fuel)
+    rules = koszul.reduction_system_json(report.system)
+    for row, r in zip(rules, report.system.rules):
+        row["rhs_t"] = [{"coeff": str(c), "path": list(p.arrows)} for p, c in r.rhs_t]
     _emit_json(
         {
             "m": args.m,
@@ -287,19 +292,7 @@ def cmd_deform(args) -> int:
             "order_one_ok": report.order_one.ok,
             "at_one_ok": report.at_one.ok,
             "a_infinity": report.a_infinity,
-            "rules": [
-                {
-                    "lhs": list(r.lhs.arrows),
-                    "tag": r.tag,
-                    "rhs": [
-                        {"coeff": str(c), "path": list(p.arrows)} for p, c in r.rhs
-                    ],
-                    "rhs_t": [
-                        {"coeff": str(c), "path": list(p.arrows)} for p, c in r.rhs_t
-                    ],
-                }
-                for r in report.system.rules
-            ],
+            "rules": rules,
         }
     )
     if args.emit_relations:

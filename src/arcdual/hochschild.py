@@ -5,8 +5,11 @@ reduction system: a degree-q 2-cochain assigns to each rule lhs a
 combination of irreducible parallel paths of length len(lhs) + q,
 a cochain is a cocycle when every overlap ambiguity still resolves
 to first order in the deformation parameter, and coboundaries come
-from deforming the irreducible-path basis itself.  The dimension of
-HH^2 in Adams degree q is
+from deforming the irreducible-path basis itself.  The cocycle
+constraints are the linear form of the deformed diamond check: they
+read the rule applications of `rewrite.resolve_overlap`, the same
+resolution `check_diamond` compares, and resolve nothing themselves.
+The dimension of HH^2 in Adams degree q is
 
     dim ker(constraints) - rank(coboundary).
 
@@ -109,37 +112,19 @@ class ConstraintSystem:
 
 @lru_cache(maxsize=None)
 def _overlap_events(m: int, n: int):
-    """For each overlap, the signed rule applications of both one-step
-    resolutions reduced to normal form.
+    """For each overlap, the rule applications of its two resolutions
+    (`rewrite.resolve_overlap`), as (lhs, factor, prefix, suffix) with
+    factor +coeff on the left branch and -coeff on the right.
 
-    An event (lhs, factor, prefix, suffix) means the reduction applied
-    the rule with that lhs in the context prefix * lhs * suffix with
-    the running coefficient factor; the left branch counts with sign
-    +1, the right branch with sign -1.  A 2-cochain is a cocycle iff
-    for every overlap the signed sum of NF(prefix * value * suffix)
-    over matching events vanishes.
+    A 2-cochain is a cocycle iff for every overlap the sum of
+    factor * NF(prefix * value(lhs) * suffix) over its events vanishes.
     """
     system = reduction_system(m, n)
     out = []
     for ov in rw.enumerate_overlaps(system):
-        word = ov.word
-        kl = len(ov.left.lhs.arrows)
-        kr = len(ov.right.lhs.arrows)
-        tail = Path(ov.left.lhs.end, word.arrows[kl:], word.end)
-        head = Path(word.start, word.arrows[: len(word.arrows) - kr], ov.right.lhs.start)
-        events = [
-            (ov.left.lhs.arrows, F1, Path(word.start, (), word.start), tail),
-            (ov.right.lhs.arrows, -F1, head, Path(word.end, (), word.end)),
-        ]
-        for rule, ctx, sign in ((ov.left, tail, F1), (ov.right, head, -F1)):
-            resolved: dict = {}
-            for p, c in rule.rhs:
-                joined = rw.compose(p, ctx) if sign > 0 else rw.compose(ctx, p)
-                rw.add_term(resolved, joined, c)
-            _, evs = rw.reduce_with_events(resolved, system)
-            for e in evs:
-                events.append((e.rule.lhs.arrows, sign * e.coeff, e.prefix, e.suffix))
-        out.append((ov, tuple(events)))
+        left, right = rw.resolve_overlap(ov, system)
+        signed = [(e, e.coeff) for e in left.events] + [(e, -e.coeff) for e in right.events]
+        out.append(tuple((e.rule.lhs.arrows, c, e.prefix, e.suffix) for e, c in signed))
     return tuple(out)
 
 
@@ -154,7 +139,7 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
         by_lhs.setdefault(c.lhs, []).append((j, c.path))
     rows = []
     matrix = []
-    for o_idx, (_, events) in enumerate(_overlap_events(m, n)):
+    for o_idx, events in enumerate(_overlap_events(m, n)):
         acc: dict = {}
         for lhs, factor, pre, suf in events:
             for j, p in by_lhs.get(lhs, ()):

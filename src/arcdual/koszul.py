@@ -89,12 +89,13 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
     A length-two path (a, b) pairs with the reversed dual path
     (dual(b), dual(a)); the complement is taken with respect to the
     dot product in these matched coordinates.  Certifies exact
-    orthogonality and that block dimensions are complementary.
+    orthogonality and that block dimensions are complementary.  With no
+    blocks (m = 0 or n = 0: no arrows) the complement is empty too.
     """
     if relations.dual:
         raise ValueError("expected the plain relation set")
     if not relations.blocks:
-        raise ValueError("empty relation set")
+        return RelationSet(True, ())
     m, n = weight_type(relations.blocks[0].source)
     qbar = build_quiver(m, n, dual=True)
     out_blocks = []

@@ -9,14 +9,17 @@ deterministic; confluence is exactly the resolvability of all overlap
 ambiguities, checked by comparing the two one-step resolutions of every
 overlap word.
 
-Rules may carry a second-order part rhs_t.  Over the dual numbers
-(t squared = 0) the rule lhs -> rhs + t * rhs_t rewrites a combination
-x0 + t*x1 by reducing x0 as usual while collecting, for every
-application with context (prefix, suffix), the term
-prefix * rhs_t * suffix into the t-component; the t-component itself
-reduces with the plain rules only.  The collected application events are
-exposed directly, so anything linear in the deformation can be assembled
-from one undeformed run.
+Rules may carry a first-order part rhs_t.  Over the dual numbers
+(t squared = 0) the rule lhs -> rhs + t * rhs_t acts on an overlap word
+as follows.  `resolve_overlap` is the one place that resolves an
+overlap: each branch applies its own rule once and reduces the result,
+recording every rule application with its context (prefix, suffix) as
+an `Event`.  The order-zero normal form is the plain reduction; the
+order-one part is the sum of prefix * rhs_t * suffix over the events,
+reduced with the plain rules only.  `check_diamond` compares the two
+branches' normal forms; since the events do not depend on rhs_t,
+anything linear in the deformation (the Hochschild cocycle
+constraints) is read off the events of one undeformed run.
 """
 
 from __future__ import annotations
@@ -235,6 +238,16 @@ class _Fuel:
         self.left -= 1
 
 
+def _insert(acc: LinComb, prefix: Path, parts, suffix: Path, coeff: Fraction) -> None:
+    """Add coeff * prefix * part * suffix for every term of parts."""
+    for q, c in parts:
+        add_term(
+            acc,
+            Path(prefix.start, prefix.arrows + q.arrows + suffix.arrows, suffix.end),
+            coeff * c,
+        )
+
+
 def _reduce(x: LinComb, system: ReductionSystem, fuel: _Fuel, events=None):
     work = dict(as_lincomb(x))
     out: LinComb = {}
@@ -252,53 +265,13 @@ def _reduce(x: LinComb, system: ReductionSystem, fuel: _Fuel, events=None):
         suffix = Path(rule.lhs.end, path.arrows[i + k :], path.end)
         if events is not None:
             events.append(Event(rule, prefix, suffix, coeff))
-        for q, c in rule.rhs:
-            add_term(
-                work,
-                Path(path.start, prefix.arrows + q.arrows + suffix.arrows, path.end),
-                coeff * c,
-            )
+        _insert(work, prefix, rule.rhs, suffix, coeff)
     return out
 
 
 def normal_form(x, system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> LinComb:
     """Reduce a path or combination to its normal form."""
     return _reduce(as_lincomb(x), system, _Fuel(fuel))
-
-
-def reduce_with_events(x, system: ReductionSystem, fuel: int = DEFAULT_FUEL):
-    """Normal form together with the list of rule applications used."""
-    events: list[Event] = []
-    nf = _reduce(as_lincomb(x), system, _Fuel(fuel), events)
-    return nf, tuple(events)
-
-
-def deformed_normal_form(
-    x0, system: ReductionSystem, x1=None, fuel: int = DEFAULT_FUEL
-):
-    """Normal form of x0 + t*x1 over the dual numbers; returns (nf0, nf1).
-
-    The order-one component receives prefix * rhs_t * suffix for every
-    application of a deformed rule to the order-zero component and is
-    then reduced with the plain rules.
-    """
-    shared = _Fuel(fuel)
-    events: list[Event] = []
-    nf0 = _reduce(as_lincomb(x0), system, shared, events)
-    order_one: LinComb = dict(as_lincomb(x1)) if x1 else {}
-    for ev in events:
-        for q, c in ev.rule.rhs_t:
-            add_term(
-                order_one,
-                Path(
-                    ev.prefix.start,
-                    ev.prefix.arrows + q.arrows + ev.suffix.arrows,
-                    ev.suffix.end,
-                ),
-                ev.coeff * c,
-            )
-    nf1 = _reduce(order_one, system, shared)
-    return nf0, nf1
 
 
 @dataclass(frozen=True)
@@ -340,30 +313,47 @@ class DiamondReport:
     failures: tuple
 
 
-def resolve_overlap(overlap: Overlap, system: ReductionSystem, fuel: int = DEFAULT_FUEL):
-    """Both one-step resolutions of the overlap word, fully reduced.
+@dataclass(frozen=True)
+class Branch:
+    """One resolution of an overlap word over the dual numbers.
 
-    Returns ((left0, left1), (right0, right1)) over the dual numbers.
-    """
+    `events` are its rule applications in order, starting with the
+    overlap's own rule at coefficient 1; `nf0` is the order-zero normal
+    form, and `nf1` is the sum over events of coeff * prefix * rhs_t *
+    suffix, reduced with the plain rules."""
+
+    nf0: LinComb
+    nf1: LinComb
+    events: tuple[Event, ...]
+
+
+def _resolve(first: Event, system: ReductionSystem, fuel: int) -> Branch:
+    """Apply `first`, then reduce both orders on one fuel budget."""
+    shared = _Fuel(fuel)
+    events = [first]
+    order_zero: LinComb = {}
+    _insert(order_zero, first.prefix, first.rule.rhs, first.suffix, first.coeff)
+    nf0 = _reduce(order_zero, system, shared, events)
+    order_one: LinComb = {}
+    for ev in events:
+        _insert(order_one, ev.prefix, ev.rule.rhs_t, ev.suffix, ev.coeff)
+    return Branch(nf0, _reduce(order_one, system, shared), tuple(events))
+
+
+def resolve_overlap(
+    overlap: Overlap, system: ReductionSystem, fuel: int = DEFAULT_FUEL
+) -> tuple[Branch, Branch]:
+    """Both one-step resolutions of the overlap word, fully reduced: the
+    left rule applied with the tail as context, the right rule with the
+    head.  Each branch has its own fuel budget."""
     word = overlap.word
-    la = overlap.left.lhs.arrows
-    tail = Path(overlap.left.lhs.end, word.arrows[len(la) :], word.end)
-    head = Path(word.start, word.arrows[: len(word.arrows) - len(overlap.right.lhs)],
-                overlap.right.lhs.start)
-
-    def expand(parts, wrap):
-        out: LinComb = {}
-        for q, c in parts:
-            add_term(out, wrap(q), c)
-        return out
-
-    left0 = expand(overlap.left.rhs, lambda q: compose(q, tail))
-    left1 = expand(overlap.left.rhs_t, lambda q: compose(q, tail))
-    right0 = expand(overlap.right.rhs, lambda q: compose(head, q))
-    right1 = expand(overlap.right.rhs_t, lambda q: compose(head, q))
+    left, right = overlap.left, overlap.right
+    tail = Path(left.lhs.end, word.arrows[len(left.lhs) :], word.end)
+    head = Path(word.start, word.arrows[: len(word) - len(right.lhs)], right.lhs.start)
+    no_head, no_tail = Path(word.start, (), word.start), Path(word.end, (), word.end)
     return (
-        deformed_normal_form(left0, system, left1, fuel),
-        deformed_normal_form(right0, system, right1, fuel),
+        _resolve(Event(left, no_head, tail, Fraction(1)), system, fuel),
+        _resolve(Event(right, head, no_tail, Fraction(1)), system, fuel),
     )
 
 
@@ -376,11 +366,11 @@ def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondR
     failures = []
     overlaps = enumerate_overlaps(system)
     for overlap in overlaps:
-        (l0, l1), (r0, r1) = resolve_overlap(overlap, system, fuel)
-        if l0 != r0 or l1 != r1:
-            diff0, diff1 = dict(l0), dict(l1)
-            scale_into(diff0, r0, Fraction(-1))
-            scale_into(diff1, r1, Fraction(-1))
+        left, right = resolve_overlap(overlap, system, fuel)
+        if left.nf0 != right.nf0 or left.nf1 != right.nf1:
+            diff0, diff1 = dict(left.nf0), dict(left.nf1)
+            scale_into(diff0, right.nf0, Fraction(-1))
+            scale_into(diff1, right.nf1, Fraction(-1))
             failures.append(
                 {
                     "word": repr(overlap.word),

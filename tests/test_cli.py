@@ -94,13 +94,13 @@ def test_diamond(capsys):
     assert out.splitlines() == ["overlaps 8", "ok"]
 
 
-def test_diamond_deformed_file(tmp_path, capsys):
-    cocycle = [
+def _cocycle_22(coeff="1"):
+    return [
         {
             "lhs": ["ybar:^v^v->^^vv", "xbar:^^vv->^v^v"],
             "rhs_t": [
                 {
-                    "coeff": "1",
+                    "coeff": coeff,
                     "path": [
                         "xbar:^v^v->vv^^",
                         "ybar:vv^^->v^v^",
@@ -111,8 +111,11 @@ def test_diamond_deformed_file(tmp_path, capsys):
             ],
         }
     ]
+
+
+def test_diamond_deformed_file(tmp_path, capsys):
     f = tmp_path / "cocycle.json"
-    f.write_text(json.dumps(cocycle), encoding="utf-8")
+    f.write_text(json.dumps(_cocycle_22()), encoding="utf-8")
     code, out, _ = run(capsys, "diamond", "2", "2", "--deformed", str(f))
     assert code == 0
     assert out.splitlines() == ["overlaps 8", "ok"]
@@ -316,6 +319,8 @@ def test_bad_capacity_variable_exits_3(capsys, monkeypatch, variable, argv, valu
         '[{"lhs": 5}]',
         '[{"lhs": ["not-an-arrow", "x"], "rhs_t": []}]',
         '[{"lhs": ["xbar:^^vv->^v^v"], "rhs_t": []}]',
+        json.dumps(_cocycle_22("1/0")),
+        json.dumps(_cocycle_22("inf")).replace('"inf"', "1e999"),
     ],
 )
 def test_diamond_deformed_bad_file_is_usage_error(tmp_path, capsys, content):
@@ -335,3 +340,24 @@ def test_diamond_deformed_directory_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "diamond", "2", "2", "--deformed", str(tmp_path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("m,n", [("0", "0"), ("0", "2"), ("2", "0")])
+def test_degenerate_type_is_one_dimensional(capsys, m, n):
+    # K(m, n) with m = 0 or n = 0 has one weight and no arrows
+    code, out, _ = run(capsys, "verify", m, n)
+    assert code == 0
+    assert "ok dual-system (0 overlaps, dimension 1)" in out.splitlines()
+    code, out, _ = run(capsys, "hh2", m, n, "--adams", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "0"
+    code, out, _ = run(capsys, "diamond", m, n)
+    assert code == 0
+    assert out.splitlines() == ["overlaps 0", "ok"]
+    code, out, _ = run(capsys, "reduction-system", m, n, "--json")
+    assert code == 0
+    assert json.loads(out) == []
+    code, out, err = run(capsys, "deform", m, n)
+    assert code == 2
+    assert out == ""
+    assert "vanishes" in err

@@ -419,6 +419,24 @@ def test_deformation_of_a_non_cocycle_fails_the_diamond():
     raise AssertionError("no constrained cochain found")
 
 
+@pytest.mark.parametrize("m,n,q", [(2, 2, 0), (2, 3, 2), (2, 4, 4)])
+def test_diamond_fails_exactly_on_constrained_cochains(m, n, q):
+    # the constraints are the linear form of the deformed diamond check
+    base = reduction_system(m, n)
+    cons = hh.cocycle_constraints(m, n, q)
+    for j, c in enumerate(cons.cols):
+        constrained = any(row[j] for row in cons.matrix)
+        report = rw.check_diamond(base.with_deformation({c.lhs: {c.path: F(1)}}))
+        assert report.ok == (not constrained), c
+    kernel = linalg.nullspace(cons.matrix, len(cons.cols))
+    vector = next(v for v in kernel if sum(1 for x in v if x) >= 2)
+    assignment: dict = {}
+    for c, x in zip(cons.cols, vector):
+        if x:
+            assignment.setdefault(c.lhs, {})[c.path] = x
+    assert rw.check_diamond(base.with_deformation(assignment)).ok
+
+
 def test_render_relation_orders_terms_geometrically():
     system = reduction_system(2, 2)
     labels = hh.compact_labels(2, 2)

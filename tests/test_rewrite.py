@@ -330,30 +330,44 @@ def test_normal_form_independent_of_strategy(system):
     assert checked > 500
 
 
-def test_reduce_with_events(system):
-    nf, events = rw.reduce_with_events(path("y2", "y11", "x11"), system)
-    assert nf == {}
-    assert len(events) == 1
-    assert events[0].rule.lhs == path("y2", "y11")
-    assert events[0].prefix.arrows == ()
-    assert events[0].suffix.arrows == (A["x11"],)
-    assert events[0].coeff == 1
+def _overlap(system, *shorts):
+    word = path(*shorts)
+    (found,) = [o for o in rw.enumerate_overlaps(system) if o.word == word]
+    return found
 
 
-def test_deformed_normal_form_first_order():
+def test_resolve_overlap_events(system):
+    left, _ = rw.resolve_overlap(_overlap(system, "y2", "y11", "x11"), system)
+    assert left.nf0 == {}
+    assert len(left.events) == 1
+    assert left.events[0].rule.lhs == path("y2", "y11")
+    assert left.events[0].prefix.arrows == ()
+    assert left.events[0].suffix.arrows == (A["x11"],)
+    assert left.events[0].coeff == 1
+
+
+def test_resolve_overlap_first_order():
     base = build_system()
     deformed = base.with_deformation(
         {path("y11", "x11").arrows: comb({("x21", "x22", "x32", "y2"): 1})}
     )
-    nf0, nf1 = rw.deformed_normal_form(path("y11", "x11"), deformed)
-    assert nf0 == comb({("x21", "y21"): -1, ("x12", "y12"): -1})
-    assert nf1 == comb({("x21", "x22", "x32", "y2"): 1})
+    left, right = rw.resolve_overlap(_overlap(deformed, "y2", "y11", "x11"), deformed)
+    # the right branch starts with y11 x11 -> rhs + t * rhs_t behind y2
+    first = right.events[0]
+    assert first.rule.lhs == path("y11", "x11")
+    assert (first.prefix.arrows, first.suffix.arrows, first.coeff) == ((A["y2"],), (), 1)
+    assert first.rule.rhs_comb() == comb({("x21", "y21"): -1, ("x12", "y12"): -1})
+    assert first.rule.rhs_t_comb() == comb({("x21", "x22", "x32", "y2"): 1})
+    # the left branch kills the word at order zero and never meets y11 x11
+    assert left.nf0 == right.nf0 == {}
+    assert left.nf1 == {}
     # the order-one part reduces with the plain rules
-    nf0, nf1 = rw.deformed_normal_form(
-        path("y2", "y11", "x11"), deformed
-    )
-    assert nf0 == {}
-    assert nf1 == rw.normal_form(path("y2", "x21", "x22", "x32", "y2"), base) == {}
+    assert right.nf1 == rw.normal_form(path("y2", "x21", "x22", "x32", "y2"), base) == {}
+    # a non-cocycle leaves an order-one difference on the same word
+    bad = base.with_deformation({path("y11", "x11").arrows: comb({("x21", "y21"): 1})})
+    left, right = rw.resolve_overlap(_overlap(bad, "y2", "y11", "x11"), bad)
+    assert left.nf1 == {}
+    assert right.nf1 == rw.normal_form(path("y2", "x21", "y21"), base) != {}
 
 
 def test_deformed_diamond_accepts_cocycle():
