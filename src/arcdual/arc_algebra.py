@@ -470,11 +470,3 @@ def multiply(
                 add_scaled(out, d, ca * cb * c)
     return out
 
-
-def diagram_json(d: ArcDiagram) -> dict:
-    return {
-        "cup": d.cup_weight,
-        "mid": d.mid_weight,
-        "cap": d.cap_weight,
-        "degree": degree(d),
-    }

@@ -261,7 +261,7 @@ def cmd_hh2(args) -> int:
 
 
 def cmd_hh2_table(args) -> int:
-    for q in range(0, 2 * args.m * args.n - 1, 2):
+    for q in hh.adams_degrees(args.m, args.n):
         started = time.perf_counter()
         dim = hh.hh2_dim(args.m, args.n, q)
         print(f"{q} {dim}")
@@ -348,7 +348,7 @@ def cmd_verify(args) -> int:
         print("skipped hh2-critical (needs m >= 2 and n >= 2)")
 
     try:
-        for q in range(0, 2 * m * n - 1, 2):
+        for q in hh.adams_degrees(m, n):
             bar = hh.hh2_bar_oracle(m, n, q, bar_limit)
             deform = hh.hh2_dim(m, n, q)
             if bar != deform:

@@ -147,30 +147,6 @@ def defect(w: str) -> int:
     return len(cup_matching(w).cups)
 
 
-@dataclass(frozen=True)
-class Circle:
-    """A cup of the degree-zero diagram, with its nesting data.
-
-    depth counts the cups strictly enclosing this one; encloses lists the
-    cups strictly inside, sorted by left endpoint.
-    """
-
-    pair: tuple[int, int]
-    depth: int
-    encloses: tuple[tuple[int, int], ...]
-
-
-@lru_cache(maxsize=None)
-def circles_of(w: str) -> tuple[Circle, ...]:
-    cups = cup_matching(w).cups
-    out = []
-    for i, j in cups:
-        inner = tuple(p for p in cups if i < p[0] and p[1] < j)
-        depth = sum(1 for p in cups if p[0] < i and j < p[1])
-        out.append(Circle((i, j), depth, inner))
-    return tuple(out)
-
-
 def exchange_pair(w: str, pair: tuple[int, int]) -> str:
     """Reverse the two marks joined by the given cup of w's cup diagram.
 
@@ -188,7 +164,7 @@ def exchange_pair(w: str, pair: tuple[int, int]) -> str:
 
 def upper_neighbours(w: str) -> tuple[tuple[tuple[int, int], str], ...]:
     """All exchange moves out of w, as (cup, resulting weight) pairs."""
-    return tuple((c.pair, exchange_pair(w, c.pair)) for c in circles_of(w))
+    return tuple((c, exchange_pair(w, c)) for c in cup_matching(w).cups)
 
 
 def is_nested(inner: tuple[int, int], outer: tuple[int, int]) -> bool:
@@ -205,6 +181,3 @@ def delete_positions(w: str, positions) -> str:
     drop = set(positions)
     return "".join(c for i, c in enumerate(w) if i not in drop)
 
-
-def weight_json(w: str) -> dict:
-    return {"marks": w, "height": height(w), "defect": defect(w)}

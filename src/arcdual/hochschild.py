@@ -61,12 +61,6 @@ class Cochain1:
     path: Path
 
 
-def _parallel(m: int, n: int, start: str, end: str, length: int):
-    if length < 0:
-        return ()
-    return irreducible_basis(m, n).get((start, end, length), ())
-
-
 @lru_cache(maxsize=None)
 def _nf_terms(m: int, n: int, path: Path):
     return tuple(rw.sorted_terms(rw.normal_form(path, reduction_system(m, n))))
@@ -78,10 +72,11 @@ def cochain2_basis(m: int, n: int, q: int) -> tuple[Cochain2, ...]:
     path order.  Empty in odd degrees because parallel paths have the
     same length parity."""
     system = reduction_system(m, n)
+    basis = irreducible_basis(m, n)
     out = []
     for rule in system.rules:
         lhs = rule.lhs
-        for p in _parallel(m, n, lhs.start, lhs.end, len(lhs.arrows) + q):
+        for p in basis.get((lhs.start, lhs.end, len(lhs.arrows) + q), ()):
             out.append(Cochain2(lhs.arrows, p))
     return tuple(out)
 
@@ -89,9 +84,10 @@ def cochain2_basis(m: int, n: int, q: int) -> tuple[Cochain2, ...]:
 @lru_cache(maxsize=None)
 def cochain1_basis(m: int, n: int, q: int) -> tuple[Cochain1, ...]:
     system = reduction_system(m, n)
+    basis = irreducible_basis(m, n)
     out = []
     for arrow in sorted(system.quiver.arrows, key=lambda a: a.name):
-        for p in _parallel(m, n, arrow.source, arrow.target, 1 + q):
+        for p in basis.get((arrow.source, arrow.target, 1 + q), ()):
             out.append(Cochain1(arrow.name, p))
     return tuple(out)
 
@@ -361,9 +357,15 @@ def hh2_dim(m: int, n: int, q: int) -> int:
     return hh2_certificate(m, n, q).dimension
 
 
+def adams_degrees(m: int, n: int) -> range:
+    """The even Adams degrees 0, 2, ..., 2mn - 2 that `hh2_table` and
+    `verify` cover; degree 0 alone when mn = 0."""
+    return range(0, max(2 * m * n - 1, 1), 2)
+
+
 def hh2_table(m: int, n: int):
-    """Rows (q, dim HH^2_q) for even q up to the top degree."""
-    return tuple((q, hh2_dim(m, n, q)) for q in range(0, 2 * m * n - 1, 2))
+    """Rows (q, dim HH^2_q) for the degrees of `adams_degrees`."""
+    return tuple((q, hh2_dim(m, n, q)) for q in adams_degrees(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +412,7 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
         unit = [F0] * len(basis)
         unit[index[Cochain2(lhs, detour)]] = F1
         candidates.append(unit)
-    if cons.matrix:
-        candidates.extend(linalg.nullspace(cons.matrix, len(basis)))
-    else:
-        for i in range(len(basis)):
-            unit = [F0] * len(basis)
-            unit[i] = F1
-            candidates.append(unit)
+    candidates.extend(linalg.nullspace(cons.matrix, len(basis)))
 
     for vec in candidates:
         in_kernel = linalg.first_nonzero_product(cons.matrix, [vec]) is None
@@ -505,16 +501,6 @@ def render_relation(quiver, rule, labels=None) -> str:
     return _render_side(quiver, left, labels) + " = " + _render_side(quiver, right, labels)
 
 
-def _normalized_assignment(cocycle) -> dict:
-    out: dict = {}
-    for key, value in cocycle.items():
-        lhs = key.lhs.arrows if isinstance(key, rw.Rule) else tuple(key)
-        comb = {p: Fraction(c) for p, c in rw.as_lincomb(value).items() if c}
-        if comb:
-            out[lhs] = comb
-    return out
-
-
 def _a_infinity_claim(m: int, n: int, assignment: dict):
     """The higher-multiplication identity read off from the unit
     deformation along the second distinguished cochain.  Recorded only
@@ -558,8 +544,7 @@ def deformed_algebra(m: int, n: int, cocycle, fuel: int = DEFAULT_FUEL) -> Defor
     offending overlap as witness.
     """
     base = reduction_system(m, n)
-    assignment = _normalized_assignment(cocycle)
-    deformed = base.with_deformation(assignment)
+    deformed = base.with_deformation(cocycle)
     order_one = rw.check_diamond(deformed, fuel)
     if not order_one.ok:
         raise CertificationError(
@@ -592,7 +577,9 @@ def deformed_algebra(m: int, n: int, cocycle, fuel: int = DEFAULT_FUEL) -> Defor
         at_one=at_one,
         relations=relations,
         deformed_relations=deformed_relations,
-        a_infinity=_a_infinity_claim(m, n, assignment),
+        a_infinity=_a_infinity_claim(
+            m, n, {r.lhs.arrows: r.rhs_t_comb() for r in deformed.rules if r.rhs_t}
+        ),
     )
 
 
@@ -639,14 +626,18 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
     irreducible-path basis.
 
     Independent of the deformation route: only normal-form products
-    enter.  The cost is elimination fill-in, steep in the number of
-    positive basis paths, so the computation refuses to start above the
-    capacity (parameter, else the ARCDUAL_BAR_CAPACITY variable, else 200).
+    enter.  One column builder serves 1- and 2-cochains: the cochain
+    sending a tensor `word` of k positive basis paths to w has as
+    coboundary a * w, then (-1)^(i+1) g w at each (a, b) that replaces
+    the i-th path (from 0) when that path has coefficient g in a * b,
+    then (-1)^(k+1) w * c.  The cost is elimination fill-in, steep in
+    the number of positive basis paths, so the computation refuses to
+    start above the capacity (parameter, else the ARCDUAL_BAR_CAPACITY
+    variable, else 200).
     """
     limit = bar_capacity() if capacity is None else capacity
-    positive = sum(
-        len(b) for (_, _, length), b in irreducible_basis(m, n).items() if length > 0
-    )
+    basis = irreducible_basis(m, n)
+    positive = sum(len(b) for (_, _, length), b in basis.items() if length > 0)
     if positive > limit:
         raise CapacityError(
             f"bar complex for ({m}, {n}) needs {positive} basis paths, "
@@ -654,42 +645,32 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
         )
     pos, by_start, by_end, pairs, containing = _bar_data(m, n)
 
-    cols2 = []
-    for u, v in pairs:
-        ku, kv = path_key(u), path_key(v)
-        for w in _parallel(m, n, u.start, v.end, len(u.arrows) + len(v.arrows) + q):
-            kw = path_key(w)
-            col: dict = {}
-            for a in by_end.get(u.start, ()):
-                ka = path_key(a)
-                for t, c in _nf_terms(m, n, rw.compose(a, w)):
-                    rw.add_term(col, (ka, ku, kv, path_key(t)), c)
-            for a, b, g in containing.get(u, ()):
-                rw.add_term(col, (path_key(a), path_key(b), kv, kw), -g)
-            for b, c_, g in containing.get(v, ()):
-                rw.add_term(col, (ku, path_key(b), path_key(c_), kw), g)
-            for c_ in by_start.get(v.end, ()):
-                kc = path_key(c_)
-                for t, c in _nf_terms(m, n, rw.compose(w, c_)):
-                    rw.add_term(col, (ku, kv, kc, path_key(t)), -c)
-            cols2.append(col)
+    def column(word, w):
+        keys = tuple(map(path_key, word))
+        kw = path_key(w)
+        col: dict = {}
+        for a in by_end.get(word[0].start, ()):
+            ka = path_key(a)
+            for t, c in _nf_terms(m, n, rw.compose(a, w)):
+                rw.add_term(col, (ka, *keys, path_key(t)), c)
+        for i, x in enumerate(word):
+            sign = (-1) ** (i + 1)
+            for a, b, g in containing.get(x, ()):
+                key = keys[:i] + (path_key(a), path_key(b)) + keys[i + 1 :] + (kw,)
+                rw.add_term(col, key, sign * g)
+        sign = (-1) ** (len(word) + 1)
+        for c_ in by_start.get(word[-1].end, ()):
+            kc = path_key(c_)
+            for t, c in _nf_terms(m, n, rw.compose(w, c_)):
+                rw.add_term(col, (*keys, kc, path_key(t)), sign * c)
+        return col
 
-    cols1 = []
-    for u in pos:
-        ku = path_key(u)
-        for w in _parallel(m, n, u.start, u.end, len(u.arrows) + q):
-            kw = path_key(w)
-            col = {}
-            for a in by_end.get(u.start, ()):
-                ka = path_key(a)
-                for t, c in _nf_terms(m, n, rw.compose(a, w)):
-                    rw.add_term(col, (ka, ku, path_key(t)), c)
-            for a, b, g in containing.get(u, ()):
-                rw.add_term(col, (path_key(a), path_key(b), kw), -g)
-            for b in by_start.get(u.end, ()):
-                kb = path_key(b)
-                for t, c in _nf_terms(m, n, rw.compose(w, b)):
-                    rw.add_term(col, (ku, kb, path_key(t)), c)
-            cols1.append(col)
-
+    cols2 = [
+        column((u, v), w)
+        for u, v in pairs
+        for w in basis.get((u.start, v.end, len(u) + len(v) + q), ())
+    ]
+    cols1 = [
+        column((u,), w) for u in pos for w in basis.get((u.start, u.end, len(u) + q), ())
+    ]
     return len(cols2) - len(linalg.echelon(cols2)) - len(linalg.echelon(cols1))

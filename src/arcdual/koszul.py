@@ -250,7 +250,9 @@ def _xbar_path(qbar: Quiver, verts) -> Path:
 
 @lru_cache(maxsize=None)
 def build_S(m: int, n: int) -> tuple[TaggedLhs, ...]:
-    """All left-hand sides of the dual reduction system, with tags."""
+    """The length-two left-hand sides of the dual reduction system, with
+    tags.  The staircase left-hand sides (tag IV) are not listed here:
+    `reduction_system` builds them from `_cubic_sequences`."""
     qbar = build_quiver(m, n, dual=True)
     out = []
     for v in qbar.vertices:
@@ -278,9 +280,6 @@ def build_S(m: int, n: int) -> tuple[TaggedLhs, ...]:
                 tag = _ascending_tag(b.target, a.target, w1)
                 if tag:
                     out.append(TaggedLhs(make_path(qbar, [a, b]), tag))
-    for vs in _cubic_sequences(m, n):
-        out.append(TaggedLhs(_ybar_path(qbar, vs), TYPE_CUBIC))
-        out.append(TaggedLhs(_xbar_path(qbar, vs), TYPE_CUBIC))
     out.sort(key=lambda s: path_key(s.path))
     return tuple(out)
 
@@ -299,10 +298,6 @@ def _paths_from(qbar: Quiver, source: str, length: int):
             for a in qbar.out[p.end]
         ]
     return sorted(out, key=path_key)
-
-
-def _paths_between(qbar: Quiver, source: str, target: str, length: int):
-    return [p for p in _paths_from(qbar, source, length) if p.end == target]
 
 
 def _eliminate_block(
@@ -359,42 +354,43 @@ def _eliminate_block(
 
 
 def _certify_cubic_membership(qbar, relations, entries):
-    """Exact membership of lhs - rhs in the padded quadratic ideal.
+    """Exact membership of lhs - sign * alternate in the padded quadratic
+    ideal.
 
     entries maps (source, target, length) to a list of
-    (lhs path, alternate path, sign) triples sharing that block.
+    (lhs path, alternate path, sign) triples sharing that block.  The
+    ideal in a block is spanned by prefix * relation * suffix, as sparse
+    vectors keyed by arrow tuples, and is put in echelon form once.
     """
     by_source = {}
     for b in relations.blocks:
         if b.rows:
             by_source.setdefault(b.source, []).append(b)
     for (source, target, length), triples in sorted(entries.items()):
-        paths = _paths_between(qbar, source, target, length)
-        index = {p.arrows: i for i, p in enumerate(paths)}
         rows = []
         for cut in range(length - 1):
             for prefix in _paths_from(qbar, source, cut):
                 for block in by_source.get(prefix.end, ()):
-                    tail = length - cut - 2
-                    for suffix in _paths_between(qbar, block.target, target, tail):
+                    for suffix in _paths_from(qbar, block.target, length - cut - 2):
+                        if suffix.end != target:
+                            continue
                         for row in block.rows:
-                            vec = [Fraction(0)] * len(paths)
-                            for coeff, (a, b) in zip(row, block.paths):
-                                if coeff:
-                                    arrows = (
-                                        prefix.arrows
-                                        + (a.name, b.name)
-                                        + suffix.arrows
-                                    )
-                                    vec[index[arrows]] += coeff
-                            if any(vec):
-                                rows.append(vec)
-        reduced, pivots = linalg.rref(rows)
+                            rows.append(
+                                {
+                                    prefix.arrows + (a.name, b.name) + suffix.arrows: coeff
+                                    for coeff, (a, b) in zip(row, block.paths)
+                                    if coeff
+                                }
+                            )
+        basis = linalg.echelon(rows)
         for lhs, alt, sign in triples:
-            vec = [Fraction(0)] * len(paths)
-            vec[index[lhs.arrows]] = Fraction(1)
-            vec[index[alt.arrows]] -= Fraction(sign)
-            if not linalg.in_span(vec, reduced, pivots):
+            residue = {lhs.arrows: Fraction(1), alt.arrows: Fraction(-sign)}
+            # no tail holds a pivot key, so one pass clears every pivot
+            for key in [k for k in residue if k in basis]:
+                c = residue.pop(key)
+                for k, x in basis[key].items():
+                    residue[k] = residue.get(k, 0) - c * x
+            if any(residue.values()):
                 raise CertificationError(
                     "staircase rule is not congruent to its alternate path",
                     witness={"lhs": repr(lhs), "alternate": repr(alt), "sign": sign},
@@ -411,14 +407,9 @@ def reduction_system(m: int, n: int) -> ReductionSystem:
     """
     qbar = build_quiver(m, n, dual=True)
     relations = dual_relations(m, n)
-    tagged = build_S(m, n)
     by_block: dict[tuple[str, str], list[TaggedLhs]] = {}
-    cubic: list[TaggedLhs] = []
-    for s in tagged:
-        if s.tag == TYPE_CUBIC:
-            cubic.append(s)
-        else:
-            by_block.setdefault((s.path.start, s.path.end), []).append(s)
+    for s in build_S(m, n):
+        by_block.setdefault((s.path.start, s.path.end), []).append(s)
     rules = []
     for (source, target), group in sorted(by_block.items()):
         phis = _eliminate_block(qbar, relations.block(source, target), group)
@@ -430,40 +421,15 @@ def reduction_system(m: int, n: int) -> ReductionSystem:
                     witness={"lhs": repr(s.path), "phi": repr(phi)},
                 )
             rules.append(make_rule(s.path, phi, tag=s.tag))
-    cubic_entries: dict[tuple[str, str, int], list] = {}
-    for s in cubic:
-        verts = _vertex_sequence(qbar, s.path)
-        if s.path.arrows[0].startswith("xbar"):
-            verts = tuple(reversed(verts))
-        alt_verts, sign = _cubic_alternate(verts)
-        if s.path.arrows[0].startswith("xbar"):
-            alt = _xbar_path(qbar, alt_verts)
-        else:
-            alt = _ybar_path(qbar, alt_verts)
-        key = (s.path.start, s.path.end, len(s.path))
-        cubic_entries.setdefault(key, []).append((s.path, alt, sign))
-        rules.append(make_rule(s.path, {alt: Fraction(sign)}, tag=s.tag))
-    if cubic_entries:
-        _certify_cubic_membership(qbar, relations, cubic_entries)
+    staircase: dict[tuple[str, str, int], list] = {}
+    for vs in _cubic_sequences(m, n):
+        alt, sign = _cubic_alternate(vs)
+        for build in (_ybar_path, _xbar_path):
+            lhs, rhs = build(qbar, vs), build(qbar, alt)
+            staircase.setdefault((lhs.start, lhs.end, len(lhs)), []).append((lhs, rhs, sign))
+            rules.append(make_rule(lhs, {rhs: Fraction(sign)}, tag=TYPE_CUBIC))
+    _certify_cubic_membership(qbar, relations, staircase)
     return ReductionSystem(qbar, rules)
-
-
-def _vertex_sequence(qbar: Quiver, path: Path) -> tuple[str, ...]:
-    verts = [path.start]
-    for name in path.arrows:
-        verts.append(qbar.by_name[name].target)
-    return tuple(verts)
-
-
-def phi_of(s: TaggedLhs) -> LinComb:
-    """Right-hand side of the rule for a tagged left-hand side."""
-    m, n = weight_type(s.path.start)
-    system = reduction_system(m, n)
-    try:
-        rule = system.rule_for(s.path.arrows)
-    except KeyError:
-        raise ValueError(f"{s.path!r} is not a left-hand side") from None
-    return rule.rhs_comb()
 
 
 def reduction_system_json(system: ReductionSystem) -> list[dict]:

@@ -350,16 +350,6 @@ def _dot_vertex_order(w: str):
     return (comb.height(w), w)
 
 
-def gamma_dot(graph: Graph) -> str:
-    lines = ["graph gamma {"]
-    for v in sorted(graph.vertices, key=_dot_vertex_order):
-        lines.append(f'  "{v}";')
-    for lo, hi in graph.edges:
-        lines.append(f'  "{lo}" -- "{hi}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def quiver_dot(quiver: Quiver) -> str:
     lines = ["digraph quiver {"]
     for v in sorted(quiver.vertices, key=_dot_vertex_order):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from arcdual import cli
+from arcdual import hochschild as hh
 
 
 def run(capsys, *argv):
@@ -343,11 +344,14 @@ def test_diamond_deformed_directory_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("m,n", [("0", "0"), ("0", "2"), ("2", "0")])
-def test_degenerate_type_is_one_dimensional(capsys, m, n):
+def test_degenerate_type_is_one_dimensional(capsys, monkeypatch, m, n):
     # K(m, n) with m = 0 or n = 0 has one weight and no arrows
     code, out, _ = run(capsys, "verify", m, n)
     assert code == 0
     assert "ok dual-system (0 overlaps, dimension 1)" in out.splitlines()
+    code, out, _ = run(capsys, "hh2-table", m, n)
+    assert code == 0
+    assert out == "0 0\n"
     code, out, _ = run(capsys, "hh2", m, n, "--adams", "0")
     assert code == 0
     assert out.splitlines()[0] == "0"
@@ -361,3 +365,8 @@ def test_degenerate_type_is_one_dimensional(capsys, m, n):
     assert code == 2
     assert out == ""
     assert "vanishes" in err
+    # degree 0 is cross-checked, so a disagreeing oracle fails verify
+    monkeypatch.setattr(hh, "hh2_bar_oracle", lambda *args: 1)
+    code, out, _ = run(capsys, "verify", m, n)
+    assert code == 1
+    assert out.splitlines()[-1] == "failed bar-oracle"

@@ -20,7 +20,7 @@ from arcdual.rewrite import (
     normal_form,
     path_key,
 )
-from test_rewrite import A, RULES_22, path
+from test_rewrite import A, RULES_22
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +139,6 @@ def test_peak_rule_count_is_sum_of_squared_lower_degrees(sys22):
     assert sum(1 for r in sys22.rules if r.tag == "I") == expected
 
 
-def test_phi_of_routes_to_the_rule(sys22):
-    lhs = K.TaggedLhs(path("y21", "x2"), "I")
-    phi = K.phi_of(lhs)
-    assert phi == {path("x22", "x32"): Fraction(-1)}
-    with pytest.raises(ValueError):
-        K.phi_of(K.TaggedLhs(path("x22", "x32"), "I"))
-
-
 # ---------------------------------------------------------------------------
 # one-row types collapse to the zig-zag system
 
@@ -184,8 +176,22 @@ def test_one_row_system_is_the_zigzag_one(m, n):
     [(2, 2, 0), (3, 2, 0), (4, 2, 0), (1, 4, 0), (2, 3, 2), (3, 3, 4), (2, 4, 6)],
 )
 def test_quartic_family_presence(m, n, quartic):
-    S = K.build_S(m, n)
-    assert sum(1 for s in S if s.tag == "IV") == quartic
+    system = K.reduction_system(m, n)
+    assert sum(1 for r in system.rules if r.tag == "IV") == quartic
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+def test_staircase_rule_with_wrong_sign_is_rejected(monkeypatch, m, n):
+    # flipping the alternate's sign takes lhs - rhs out of the ideal
+    original = K._cubic_alternate
+
+    def flipped(vs):
+        alt, sign = original(vs)
+        return alt, -sign
+
+    monkeypatch.setattr(K, "_cubic_alternate", flipped)
+    with pytest.raises(CertificationError, match="not congruent to its alternate"):
+        K.reduction_system.__wrapped__(m, n)
 
 
 def test_cubic_rule_for_two_rows_of_three(sample_types=None):

@@ -232,13 +232,6 @@ def test_parallel_paths_agree_in_the_algebra():
                 assert images[0]
 
 
-def test_gamma_dot_output():
-    dot = P.gamma_dot(P.build_gamma(1, 2))
-    assert dot.startswith("graph gamma {")
-    assert '"v^^" -- "^v^";' in dot
-    assert dot == P.gamma_dot(P.build_gamma(1, 2))
-
-
 def test_quiver_dot_output():
     dot = P.quiver_dot(P.build_quiver(1, 2))
     assert dot.startswith("digraph quiver {")
