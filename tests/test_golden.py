@@ -1,6 +1,7 @@
 """Golden stdout: every verb at (2,2), (3,2) and (2,3), byte for byte.
 
-At (2,4), the smallest golden size whose reduction system has left-hand
+The bar oracle is pinned at (2,2) in Adams degrees -2, 0 and 2, once
+with its JSON output.  At (2,4), the smallest golden size whose reduction system has left-hand
 sides of lengths 2, 3 and 4, the rewriting and HH^2 verbs are pinned as
 well.
 
@@ -43,6 +44,8 @@ COMMANDS = [
     for verb in VERBS
 ] + [
     ("hh2", "2", "2", "--adams", "0", "--oracle", "bar"),
+    ("hh2", "2", "2", "--adams", "-2", "--oracle", "bar", "--json"),
+    ("hh2", "2", "2", "--adams", "2", "--oracle", "bar"),
     ("reduction-system", "2", "4"),
     ("diamond", "2", "4"),
     ("deform", "2", "4", "--emit-relations"),
