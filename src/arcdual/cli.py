@@ -339,7 +339,12 @@ def cmd_verify(args) -> int:
         print("skipped long-relations (needs m >= n >= 2)")
 
     if m >= 2 and n >= 2:
-        cert = hh.hh2_certificate(m, n, 2 * m * n - 6)
+        q = 2 * m * n - 6
+        cert = hh.hh2_certificate(m, n, q)
+        if cert.dimension == 0:
+            return fail(
+                "hh2-critical", {"m": m, "n": n, "adams": q, "dimension": cert.dimension}
+            )
         print(
             f"ok hh2-critical (dimension {cert.dimension}, "
             f"image rank {cert.image_rank})"

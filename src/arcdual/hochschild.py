@@ -594,43 +594,74 @@ def bar_capacity() -> int:
 
 @lru_cache(maxsize=None)
 def _bar_data(m: int, n: int):
-    """Positive-length irreducible paths with their pairwise products in
-    normal form, plus the reverse index from a basis path to the
-    products containing it."""
-    pos = sorted(
-        (
-            p
-            for (s, e, length), bucket in irreducible_basis(m, n).items()
-            if length > 0
-            for p in bucket
-        ),
-        key=path_key,
-    )
+    """The bar oracle's basis and multiplication table.
+
+    Returns the positive-length irreducible paths `pos` in `path_key`
+    order, grouped by start and by end; the position of every basis
+    path (length zero included) in `path_key` order, which the oracle
+    uses as its column keys; the table `product[u, v]` of sorted
+    normal-form terms for every composable pair of positive paths;
+    the pairs in (u, v) `path_key` order; and the reverse index from
+    a basis path to the products containing it.
+
+    The table is built one arrow at a time.  Taking v in `path_key`
+    order, the prefix v' of v = v'·a is done before v, and
+
+        NF(u·v'·a) = NF(NF(u·v')·a) = sum of c·product[t, a]
+
+    over the terms (t, c) of product[u, v'].  The first equality holds
+    because the system is confluent (Bergman's diamond lemma, which
+    `certify_dual_system` certifies): u·v' - NF(u·v') lies in the
+    ideal of the relations, so does its product with a, and the normal
+    form vanishes on that ideal.  Only the products with an arrow are
+    rewritten from scratch.
+    """
+    basis = irreducible_basis(m, n)
+    paths = sorted((p for bucket in basis.values() for p in bucket), key=path_key)
+    index = {p: i for i, p in enumerate(paths)}
+    pos = [p for p in paths if p.arrows]
     by_start: dict = {}
     by_end: dict = {}
     for p in pos:
         by_start.setdefault(p.start, []).append(p)
         by_end.setdefault(p.end, []).append(p)
-    pairs = []
+    arrows = {p.arrows[0]: p for p in pos if len(p) == 1}
+    product: dict = {}
+    for v in pos:
+        if len(v) == 1:
+            for u in by_end.get(v.start, ()):
+                product[u, v] = _nf_terms(m, n, rw.compose(u, v))
+            continue
+        a = arrows[v.arrows[-1]]
+        prefix = Path(v.start, v.arrows[:-1], a.start)
+        for u in by_end.get(v.start, ()):
+            acc: dict = {}
+            for t, c in product[u, prefix]:
+                for s, g in product[t, a]:
+                    rw.add_term(acc, s, c * g)
+            product[u, v] = rw.sorted_terms(acc)
+    pairs = [(u, v) for u in pos for v in by_start.get(u.end, ())]
     containing: dict = {}
-    for u in pos:
-        for v in by_start.get(u.end, ()):
-            pairs.append((u, v))
-            for w, c in _nf_terms(m, n, rw.compose(u, v)):
-                containing.setdefault(w, []).append((u, v, c))
-    return pos, by_start, by_end, tuple(pairs), containing
+    for u, v in pairs:
+        for w, c in product[u, v]:
+            containing.setdefault(w, []).append((u, v, c))
+    return pos, by_start, by_end, index, product, tuple(pairs), containing
 
 
 def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
     """dim HH^2 in Adams degree q from the reduced bar complex on the
     irreducible-path basis.
 
-    Independent of the deformation route: only normal-form products
-    enter.  One column builder serves 1- and 2-cochains: the cochain
-    sending a tensor `word` of k positive basis paths to w has as
-    coboundary a * w, then (-1)^(i+1) g w at each (a, b) that replaces
-    the i-th path (from 0) when that path has coefficient g in a * b,
-    then (-1)^(k+1) w * c.  The cost is elimination fill-in, steep in
+    Independent of the cocycle constraints and of the coboundary
+    matrix: it multiplies basis paths by reduction-system normal forms,
+    read from the product table of `_bar_data`, and nothing else.  One
+    column builder serves 1- and 2-cochains: the cochain sending a
+    tensor `word` of k positive basis paths to w has as coboundary
+    a * w, then (-1)^(i+1) g w at each (a, b) that replaces the i-th
+    path (from 0) when that path has coefficient g in a * b, then
+    (-1)^(k+1) w * c.  A column is keyed by tuples of basis-path
+    indices in `path_key` order, so keys compare as the paths do and
+    hash as plain integers.  The cost is elimination fill-in, steep in
     the number of positive basis paths, so the computation refuses to
     start above the capacity (parameter, else the ARCDUAL_BAR_CAPACITY
     variable, else 200).
@@ -643,26 +674,34 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
             f"bar complex for ({m}, {n}) needs {positive} basis paths, "
             f"capacity is {limit}"
         )
-    pos, by_start, by_end, pairs, containing = _bar_data(m, n)
+    pos, by_start, by_end, index, product, pairs, containing = _bar_data(m, n)
+
+    def times(x, y):
+        """The terms of x·y for basis paths x and y, one of them positive."""
+        if not x.arrows:
+            return ((y, F1),)
+        if not y.arrows:
+            return ((x, F1),)
+        return product[x, y]
 
     def column(word, w):
-        keys = tuple(map(path_key, word))
-        kw = path_key(w)
+        keys = tuple(index[x] for x in word)
+        kw = index[w]
         col: dict = {}
         for a in by_end.get(word[0].start, ()):
-            ka = path_key(a)
-            for t, c in _nf_terms(m, n, rw.compose(a, w)):
-                rw.add_term(col, (ka, *keys, path_key(t)), c)
+            ka = index[a]
+            for t, c in times(a, w):
+                rw.add_term(col, (ka, *keys, index[t]), c)
         for i, x in enumerate(word):
             sign = (-1) ** (i + 1)
             for a, b, g in containing.get(x, ()):
-                key = keys[:i] + (path_key(a), path_key(b)) + keys[i + 1 :] + (kw,)
+                key = keys[:i] + (index[a], index[b]) + keys[i + 1 :] + (kw,)
                 rw.add_term(col, key, sign * g)
         sign = (-1) ** (len(word) + 1)
         for c_ in by_start.get(word[-1].end, ()):
-            kc = path_key(c_)
-            for t, c in _nf_terms(m, n, rw.compose(w, c_)):
-                rw.add_term(col, (*keys, kc, path_key(t)), sign * c)
+            kc = index[c_]
+            for t, c in times(w, c_):
+                rw.add_term(col, (*keys, kc, index[t]), sign * c)
         return col
 
     cols2 = [

@@ -1,5 +1,6 @@
 """Command line behaviour: verbs, exit codes, deterministic output."""
 
+import dataclasses
 import json
 
 import pytest
@@ -262,6 +263,17 @@ def test_verify_full_suite_22(capsys):
     lines = out.splitlines()
     assert any(line.startswith("ok long-relations") for line in lines)
     assert any(line.startswith("ok hh2-critical") for line in lines)
+
+
+def test_verify_fails_on_zero_critical_hh2(capsys, monkeypatch):
+    # a zero critical HH^2 would refute the deformation theorem at this size
+    zero = dataclasses.replace(hh.hh2_certificate(2, 2, 2), dimension=0)
+    monkeypatch.setattr(hh, "hh2_certificate", lambda *args: zero)
+    code, out, err = run(capsys, "verify", "2", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "failed hh2-critical"
+    assert not any(line.startswith("ok hh2-critical") for line in out.splitlines())
+    assert "'adams': 2" in err and "'dimension': 0" in err
 
 
 def test_usage_unknown_verb(capsys):

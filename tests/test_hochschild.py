@@ -339,6 +339,27 @@ def test_bar_oracle_agrees_below_critical_degree_with_raised_capacity():
         assert hh.hh2_bar_oracle(m, n, 4, capacity=421) == hh.hh2_dim(m, n, 4) == 1
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])
+def test_bar_product_table_is_the_normal_form(m, n):
+    # the table is built one arrow at a time, which is sound only in a
+    # confluent system; every entry must equal a normal form from scratch
+    system = reduction_system(m, n)
+    pos, by_start, _, _, product, pairs, _ = hh._bar_data(m, n)
+    assert pairs == tuple((u, v) for u in pos for v in by_start.get(u.end, ()))
+    assert set(product) == set(pairs)
+    for u, v in pairs:
+        assert product[u, v] == rw.sorted_terms(rw.normal_form(rw.compose(u, v), system))
+
+
+def test_bar_product_table_rewrites_arrow_products_only():
+    hh._bar_data.cache_clear()
+    hh._nf_terms.cache_clear()
+    pos = hh._bar_data(3, 2)[0]
+    quiver = reduction_system(3, 2).quiver
+    arrow_products = sum(len(quiver.out[p.end]) for p in pos)
+    assert hh._nf_terms.cache_info().currsize <= arrow_products
+
+
 def test_bar_oracle_capacity():
     with pytest.raises(CapacityError):
         hh.hh2_bar_oracle(3, 2, 6)
