@@ -1,7 +1,7 @@
 """Golden stdout: every verb at (2,2), (3,2) and (2,3), byte for byte.
 
-The bar oracle is pinned at (2,2) in Adams degrees -2, 0 and 2, once
-with its JSON output.  At (2,4), the smallest golden size whose reduction system has left-hand
+The bar oracle is pinned at (2,2) in Adams degrees -2 (JSON), 0 and 2.
+At (2,4), the smallest golden size whose reduction system has left-hand
 sides of lengths 2, 3 and 4, the rewriting and HH^2 verbs are pinned as
 well.
 
@@ -56,7 +56,9 @@ COMMANDS = [
 
 
 def slug(argv) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "-", " ".join(argv)).strip("-")
+    # a negative number keeps its sign, so `--adams -2` and `--adams 2` differ
+    words = ("minus" + a[1:] if re.fullmatch(r"-\d+", a) else a for a in argv)
+    return re.sub(r"[^A-Za-z0-9]+", "-", " ".join(words)).strip("-")
 
 
 def run(argv):
