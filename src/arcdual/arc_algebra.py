@@ -218,85 +218,44 @@ def add_scaled(acc: dict, key, coeff) -> None:
 # Surgery engine.
 #
 # Nodes are (level, position) with level 0 on the lower weight line and
-# level 1 on the upper one.  Arcs are ("kind", (node,)) for rays and
-# ("kind", (node, node)) otherwise; every node meets exactly two arcs,
-# counting a ray once, so components are paths (lines) or cycles
-# (circles).
+# level 1 on the upper one.  Every node meets exactly two arcs, counting a
+# ray once, so components are paths (lines) or cycles (circles).  The
+# picture is kept as a node-adjacency map: each node lists its two
+# neighbours, None standing for the open end of a ray.  A surgery step
+# rewires the four nodes of one glue pair into two verticals and re-traces
+# only the components through those nodes; every other component, and its
+# entries in the node-to-component map, is left as it is.
 
 
 @dataclass(frozen=True)
 class _Component:
-    key: frozenset
     nodes: frozenset
     ray_nodes: tuple
     is_line: bool
 
 
-def _diagram_arcs(a: ArcDiagram, b: ArcDiagram) -> list:
-    glue = cup_matching(a.cap_weight)
-    arcs = []
-    bottom = cup_matching(a.cup_weight)
-    for i, j in bottom.cups:
-        arcs.append(("cup", ((0, i), (0, j))))
-    for p in bottom.rays:
-        arcs.append(("rayb", ((0, p),)))
-    for i, j in glue.cups:
-        arcs.append(("low", ((0, i), (0, j))))
-        arcs.append(("high", ((1, i), (1, j))))
-    for p in glue.rays:
-        arcs.append(("vert", ((0, p), (1, p))))
-    top = cup_matching(b.cap_weight)
-    for i, j in top.cups:
-        arcs.append(("cap", ((1, i), (1, j))))
-    for p in top.rays:
-        arcs.append(("rayt", ((1, p),)))
-    return arcs
-
-
-def _components(arcs: list) -> list[_Component]:
-    incident = defaultdict(list)
-    for idx, (_, nodes) in enumerate(arcs):
-        for nd in nodes:
-            incident[nd].append(idx)
-    assert all(len(v) == 2 for v in incident.values())
-    adjacency = defaultdict(set)
-    for pair in incident.values():
-        a1, a2 = pair
-        adjacency[a1].add(a2)
-        adjacency[a2].add(a1)
-    seen = set()
-    comps = []
-    for start in range(len(arcs)):
-        if start in seen:
-            continue
-        stack, group = [start], {start}
-        while stack:
-            cur = stack.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in group:
-                    group.add(nxt)
-                    stack.append(nxt)
-        seen |= group
-        nodes = frozenset(nd for idx in group for nd in arcs[idx][1])
-        rays = tuple(
-            sorted(arcs[idx][1][0] for idx in group if arcs[idx][0] in ("rayb", "rayt"))
-        )
-        assert len(rays) in (0, 2)
-        comps.append(_Component(nodes, nodes, rays, bool(rays)))
-    return comps
-
-
-def _find(comps: list[_Component], node) -> _Component:
-    for c in comps:
-        if node in c.nodes:
-            return c
-    raise AssertionError(f"node {node} in no component")
+def _trace(adjacency: dict, start) -> _Component:
+    """The component through start, walked both ways from it."""
+    nodes, rays = {start}, []
+    for first in adjacency[start]:
+        prev, cur = start, first
+        while cur is not None and cur != start:
+            nodes.add(cur)
+            left, right = adjacency[cur]
+            prev, cur = cur, right if left == prev else left
+        if cur is not None:
+            break  # back at start: a circle, walked once round
+        rays.append(prev)
+    assert len(rays) in (0, 2)
+    return _Component(frozenset(nodes), tuple(sorted(rays)), bool(rays))
 
 
 def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fraction]:
     """Resolve the middle band of the stacked pair along the given order
     of glue cups.  Each chosen cup must be admissible: not nested inside
-    a cup that has not been resolved yet."""
+    a cup that has not been resolved yet.  The components are traced
+    once; after each step only those through its four nodes are traced
+    again, and the node-to-component map is updated for them alone."""
     glue = a.cap_weight
     lam, mu = a.mid_weight, b.mid_weight
     mid = cup_matching(glue)
@@ -308,18 +267,39 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
         return lam[pos] if level == 0 else mu[pos]
 
     def is_ccw(component: _Component) -> bool:
-        # The leftmost crossing of a circle with either weight line points
-        # down exactly when the circle is counterclockwise.
-        level0 = sorted(nd for nd in component.nodes if nd[0] == 0)
-        probe = min(level0) if level0 else min(component.nodes)
-        return mark(probe) == DOWN
+        # The leftmost crossing of a circle with the lower weight line, or
+        # with the upper one if it misses the lower (nodes order by level
+        # first), points down exactly when the circle is counterclockwise.
+        return mark(min(component.nodes)) == DOWN
 
-    arcs = _diagram_arcs(a, b)
-    comps = _components(arcs)
+    adjacency = defaultdict(list)
+    for level, shape in ((0, a.cup_weight), (1, b.cap_weight)):
+        outer = cup_matching(shape)
+        for i, j in outer.cups + mid.cups:
+            adjacency[(level, i)].append((level, j))
+            adjacency[(level, j)].append((level, i))
+        for p in outer.rays:
+            adjacency[(level, p)].append(None)
+    for p in mid.rays:
+        adjacency[(0, p)].append((1, p))
+        adjacency[(1, p)].append((0, p))
+    assert all(len(ends) == 2 for ends in adjacency.values())
+    component: dict = {}
+
+    def retrace(nodes) -> list[_Component]:
+        traced, seen = [], set()
+        for node in nodes:
+            if node not in seen:
+                c = _trace(adjacency, node)
+                traced.append(c)
+                seen |= c.nodes
+                component.update(dict.fromkeys(c.nodes, c))
+        return traced
+
     # A state assigns each circle its label (True = counterclockwise);
     # lines carry no state, their rays keep their marks forever.
     init = frozenset(
-        (c.key, is_ccw(c)) for c in comps if not c.is_line
+        (c.nodes, is_ccw(c)) for c in retrace(list(adjacency)) if not c.is_line
     )
     states: dict[frozenset, Fraction] = {init: Fraction(1)}
 
@@ -332,33 +312,34 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
         ), f"surgery at {pair} blocked by an enclosing unresolved pair"
         remaining.discard(pair)
         i, j = pair
-        c_low = _find(comps, (0, i))
-        c_high = _find(comps, (1, i))
-        arcs.remove(("low", ((0, i), (0, j))))
-        arcs.remove(("high", ((1, i), (1, j))))
-        arcs.append(("vert", ((0, i), (1, i))))
-        arcs.append(("vert", ((0, j), (1, j))))
-        comps = _components(arcs)
-        touched = {(0, i), (0, j), (1, i), (1, j)}
+        c_low = component[(0, i)]
+        c_high = component[(1, i)]
+        # the glue cup and cap at (i, j) become the verticals at i and j; a
+        # node whose other arc joins the same pair lists its partner twice,
+        # and either entry may go
+        touched = [(0, i), (0, j), (1, i), (1, j)]
+        for (level, p), partner in zip(touched, ((0, j), (0, i), (1, j), (1, i))):
+            ends = adjacency[(level, p)]
+            ends[ends.index(partner)] = (1 - level, p)
         # every component meeting the four surgery nodes is newly formed:
         # merges and splits always change node sets, and reconnected lines
         # mix nodes of both inputs
-        fresh = [c for c in comps if c.nodes & touched]
+        fresh = retrace(touched)
 
         new_states: dict[frozenset, Fraction] = {}
 
         def emit(state: dict, coeff: Fraction) -> None:
             add_scaled(new_states, frozenset(state.items()), coeff)
 
-        if c_low.key != c_high.key:
+        if c_low is not c_high:
             # merge
             if not c_low.is_line and not c_high.is_line:
                 assert len(fresh) == 1 and not fresh[0].is_line
-                merged = fresh[0].key
+                merged = fresh[0].nodes
                 for state, coeff in states.items():
                     st = dict(state)
-                    l1 = st.pop(c_low.key)
-                    l2 = st.pop(c_high.key)
+                    l1 = st.pop(c_low.nodes)
+                    l2 = st.pop(c_high.nodes)
                     if not l1 and not l2:
                         continue
                     st[merged] = l1 and l2
@@ -368,7 +349,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
                 circle = c_high if c_low.is_line else c_low
                 for state, coeff in states.items():
                     st = dict(state)
-                    if not st.pop(circle.key):
+                    if not st.pop(circle.nodes):
                         continue
                     emit(st, coeff)
             else:
@@ -385,10 +366,10 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
             assert len(fresh) == 2
             if not parent.is_line:
                 assert all(not c.is_line for c in fresh)
-                k1, k2 = sorted((c.key for c in fresh), key=lambda k: min(k))
+                k1, k2 = sorted((c.nodes for c in fresh), key=lambda k: min(k))
                 for state, coeff in states.items():
                     st = dict(state)
-                    if st.pop(parent.key):
+                    if st.pop(parent.nodes):
                         for ccw_first in (True, False):
                             branch = dict(st)
                             branch[k1] = ccw_first
@@ -404,7 +385,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
                 assert len(circles) == 1 and len(lines) == 1
                 for state, coeff in states.items():
                     st = dict(state)
-                    st[circles[0].key] = False
+                    st[circles[0].nodes] = False
                     emit(st, coeff)
         states = new_states
         if not states:
@@ -418,11 +399,12 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
     def flip(m: str) -> str:
         return UP if m == DOWN else DOWN
 
+    components = set(component.values())
     result: dict[ArcDiagram, Fraction] = {}
     for state, coeff in states.items():
         st = dict(state)
         nu = [None] * len(lam)
-        for c in comps:
+        for c in components:
             low_positions = sorted(p for (level, p) in c.nodes if level == 0)
             high_positions = sorted(p for (level, p) in c.nodes if level == 1)
             assert low_positions == high_positions
@@ -433,7 +415,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
                     nu[p] = mark(anchor) if (t - base) % 2 == 0 else flip(mark(anchor))
                 assert nu[other[1]] == mark(other)
             else:
-                first = DOWN if st.pop(c.key) else UP
+                first = DOWN if st.pop(c.nodes) else UP
                 for t, p in enumerate(low_positions):
                     nu[p] = first if t % 2 == 0 else flip(first)
         assert not st

@@ -70,8 +70,6 @@ def cmd_dim(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    if not args.dot and not args.json:
-        return _usage("quiver needs one of --dot or --json")
     quiver = presentation.build_quiver(args.m, args.n, dual=args.dual)
     if args.dot:
         sys.stdout.write(presentation.quiver_dot(quiver))
@@ -216,8 +214,6 @@ def cmd_kl(args) -> int:
 
 
 def cmd_hh2(args) -> int:
-    if args.adams is None:
-        return _usage("hh2 needs --adams q")
     if args.oracle == "bar":
         dim = hh.hh2_bar_oracle(args.m, args.n, args.adams)
         if args.json:
@@ -396,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("quiver", help="export the quiver")
     _add_common(p)
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
+    fmt = p.add_mutually_exclusive_group(required=True)
+    fmt.add_argument("--dot", action="store_true")
+    fmt.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_quiver)
 
     p = subs.add_parser("relations", help="quadratic relations of the algebra")

@@ -556,11 +556,17 @@ def ascending_irr_count(lam: str, mu: str, k: int) -> int:
 # certification
 
 
+def _kl_column(lam: str, weights) -> dict[str, KLPolynomial]:
+    """Column lam of the KL matrix: the nonzero P_kappa,lam, keyed by kappa."""
+    column = {kappa: kl_poly(kappa, lam) for kappa in weights}
+    return {kappa: p for kappa, p in column.items() if p.coefficients}
+
+
 @lru_cache(maxsize=None)
 def irreducible_basis(m: int, n: int) -> MappingProxyType:
     """All irreducible paths, bucketed by (start, end, length), each
-    bucket in path_key order.  The mapping is cached and shared, so it
-    is read-only.
+    bucket in path_key order as irreducible_paths_from yields it.  The
+    mapping is cached and shared, so it is read-only.
 
     Enumerates one level past the expected top length 2mn; since every
     prefix of an irreducible path is irreducible, an empty extra level
@@ -577,9 +583,7 @@ def irreducible_basis(m: int, n: int) -> MappingProxyType:
                     witness={"m": m, "n": n, "path": repr(p)},
                 )
             buckets.setdefault((p.start, p.end, len(p.arrows)), []).append(p)
-    return MappingProxyType(
-        {k: tuple(sorted(v, key=path_key)) for k, v in buckets.items()}
-    )
+    return MappingProxyType({k: tuple(v) for k, v in buckets.items()})
 
 
 @dataclass(frozen=True)
@@ -606,8 +610,7 @@ def certify_dual_system(
     for (start, end, _), bucket in irreducible_basis(m, n).items():
         counts[(start, end)] = counts.get((start, end), 0) + len(bucket)
     at_one = {
-        (kappa, lam): kl_poly(kappa, lam).at_one()
-        for kappa in weights
+        lam: {kappa: p.at_one() for kappa, p in _kl_column(lam, weights).items()}
         for lam in weights
     }
     mismatches = []
@@ -615,7 +618,7 @@ def certify_dual_system(
     for lam in weights:
         for mu in weights:
             expected = sum(
-                at_one[(kappa, lam)] * at_one[(kappa, mu)] for kappa in weights
+                c * at_one[mu].get(kappa, 0) for kappa, c in at_one[lam].items()
             )
             got = counts.get((lam, mu), 0)
             dimension += got
@@ -645,8 +648,7 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     basis = irreducible_basis(m, n)
     weights = comb.enumerate_weights(m, n)
     polys = {
-        (kappa, lam): kl_poly(kappa, lam).coefficients
-        for kappa in weights
+        lam: {kappa: p.coefficients for kappa, p in _kl_column(lam, weights).items()}
         for lam in weights
     }
     mismatches = []
@@ -654,9 +656,9 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     for lam in weights:
         for mu in weights:
             expected: dict[int, int] = {}
-            for kappa in weights:
-                for a, ca in enumerate(polys[(kappa, lam)]):
-                    for b, cb in enumerate(polys[(kappa, mu)]):
+            for kappa, coefficients in polys[lam].items():
+                for a, ca in enumerate(coefficients):
+                    for b, cb in enumerate(polys[mu].get(kappa, ())):
                         if ca and cb:
                             expected[a + b] = expected.get(a + b, 0) + ca * cb
             degrees = set(range(2 * m * n + 1)) | set(expected)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import arc_algebra as alg
 from . import combinatorics as comb
@@ -197,11 +197,12 @@ class RelationSet:
     dual: bool
     blocks: tuple[RelationBlock, ...]
 
+    @cached_property
+    def _by_pair(self) -> dict[tuple[str, str], RelationBlock]:
+        return {(b.source, b.target): b for b in self.blocks}
+
     def block(self, source: str, target: str) -> RelationBlock | None:
-        for b in self.blocks:
-            if b.source == source and b.target == target:
-                return b
-        return None
+        return self._by_pair.get((source, target))
 
     def total_dimension(self) -> int:
         return sum(len(b.rows) for b in self.blocks)

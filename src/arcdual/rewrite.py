@@ -381,35 +381,45 @@ def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondR
     return DiamondReport(not failures, len(overlaps), tuple(failures))
 
 
-def _extension_reducible(arrows: tuple[str, ...], system: ReductionSystem) -> bool:
-    """Whether a redex ends exactly at the last arrow; assumes the prefix
-    without that arrow is irreducible."""
-    n = len(arrows)
-    for k in system.lhs_lengths:
-        if k > n:
-            break
-        if arrows[n - k :] in system.by_lhs:
-            return True
-    return False
-
-
 def irreducible_paths_from(
     system: ReductionSystem, source: str, max_len: int
 ) -> tuple[Path, ...]:
     """All irreducible paths out of a vertex up to the given length,
-    depth first, including the length zero path."""
-    quiver = system.quiver
-    found = []
-    stack = [Path(source, (), source)]
-    while stack:
-        path = stack.pop()
-        found.append(path)
-        if len(path.arrows) >= max_len:
-            continue
-        for arrow in reversed(quiver.out[path.end]):
-            arrows = path.arrows + (arrow.name,)
-            if not _extension_reducible(arrows, system):
-                stack.append(Path(source, arrows, arrow.target))
-    found.sort(key=path_key)
-    return tuple(found)
+    including the length zero path, in path_key order.
 
+    Built one length at a time: every prefix of an irreducible path is
+    irreducible, so a path of the next length is an irreducible path
+    extended by an arrow, and it is irreducible when no redex ends at
+    that arrow.  Arrows that would complete a length-two redex are
+    struck from the successor lists up front.  Extending a level that is
+    in path_key order path by path, each by its arrows in name order,
+    keeps the next level in path_key order, so the result needs no sort.
+    """
+    by_lhs = system.by_lhs
+    longer = [k for k in system.lhs_lengths if k > 2]
+    successors = {
+        v: sorted((a.name, a.target) for a in arrows)
+        for v, arrows in system.quiver.out.items()
+    }
+    # the successors of each arrow that do not complete a length-two redex
+    follow = {
+        name: [(b, t) for b, t in successors[target] if (name, b) not in by_lhs]
+        for steps in successors.values()
+        for name, target in steps
+    }
+    level = [Path(source, (), source)]
+    found = list(level)
+    for _ in range(max_len):
+        extended = []
+        for path in level:
+            steps = follow[path.arrows[-1]] if path.arrows else successors[source]
+            for name, target in steps:
+                arrows = path.arrows + (name,)
+                for k in longer:
+                    if arrows[-k:] in by_lhs:
+                        break
+                else:
+                    extended.append(Path(source, arrows, target))
+        level = extended
+        found += level
+    return tuple(found)

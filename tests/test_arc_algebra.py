@@ -185,21 +185,21 @@ def _random_admissible_order(cups, rng):
     return order
 
 
-@settings(max_examples=40)
-@given(basis_diagrams(1, 3), basis_diagrams(1, 3), st.randoms(use_true_random=False))
-def test_order_independence_1_3(a, b, rng):
-    if a.cap_weight != b.cup_weight:
-        return
-    cups = comb.cup_matching(a.cap_weight).cups
-    order = _random_admissible_order(cups, rng)
-    assert alg._run_surgery(a, b, order) == dict(alg.multiply_diagrams(a, b))
+@st.composite
+def stacked_pairs(draw, m, n):
+    """A basis diagram and one that stacks on top of it."""
+    a = draw(basis_diagrams(m, n))
+    above = [b for b in alg.enumerate_basis(m, n) if b.cup_weight == a.cap_weight]
+    return a, draw(st.sampled_from(above))
 
 
-@settings(max_examples=40)
-@given(basis_diagrams(2, 2), basis_diagrams(2, 2), st.randoms(use_true_random=False))
-def test_order_independence_2_2(a, b, rng):
-    if a.cap_weight != b.cup_weight:
-        return
+# (3, 3) glues along up to three cups, nested or side by side; (2, 4)
+# keeps two rays through every glue weight, so lines meet and reconnect.
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (3, 3), (2, 4)])
+@settings(max_examples=80)
+@given(data=st.data(), rng=st.randoms(use_true_random=False))
+def test_order_independence(m, n, data, rng):
+    a, b = data.draw(stacked_pairs(m, n))
     cups = comb.cup_matching(a.cap_weight).cups
     order = _random_admissible_order(cups, rng)
     assert alg._run_surgery(a, b, order) == dict(alg.multiply_diagrams(a, b))

@@ -48,6 +48,13 @@ def test_quiver_requires_format(capsys):
     assert "error" in err
 
 
+def test_quiver_rejects_both_formats(capsys):
+    code, out, err = run(capsys, "quiver", "2", "2", "--dot", "--json")
+    assert code == 2
+    assert out == ""
+    assert "not allowed" in err
+
+
 def test_quiver_dot(capsys):
     code, out, _ = run(capsys, "quiver", "1", "2", "--dot")
     assert code == 0

@@ -377,6 +377,28 @@ def test_irreducible_basis_buckets_the_enumeration(sys22):
     assert len(flat) == 97
 
 
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 4)])
+def test_irreducible_paths_come_in_path_key_order(m, n):
+    system = K.reduction_system(m, n)
+    for v in system.quiver.vertices:
+        paths = list(irreducible_paths_from(system, v, 2 * m * n + 1))
+        assert paths == sorted(paths, key=path_key)
+    for bucket in K.irreducible_basis(m, n).values():
+        assert list(bucket) == sorted(bucket, key=path_key)
+
+
+def test_deformed_system_paths_come_in_path_key_order():
+    from arcdual import hochschild as hh
+
+    base = K.reduction_system(3, 3)
+    deformed = base.with_deformation(hh.extract_cocycle(3, 3, 12))
+    assert any(r.rhs_t for r in deformed.rules)
+    for v in deformed.quiver.vertices:
+        paths = irreducible_paths_from(deformed, v, 19)
+        assert list(paths) == sorted(paths, key=path_key)
+        assert paths == irreducible_paths_from(base, v, 19)
+
+
 def test_irreducible_basis_certifies_completeness(monkeypatch, sys22):
     # without this peak rule the enumeration runs past the top length 2mn
     dropped = ("ybar:^v^v->^^vv", "xbar:^^vv->^v^v")

@@ -160,6 +160,20 @@ def test_relation_dimensions_two_two():
     assert [list(map(int, r)) for r in blk.rows] == [[1]]
 
 
+def test_block_lookup_agrees_with_a_scan():
+    rel = P.relations_K(3, 3)
+    quiver = P.build_quiver(3, 3)
+    missing = 0
+    for s in quiver.vertices:
+        for t in quiver.vertices:
+            scan = [b for b in rel.blocks if (b.source, b.target) == (s, t)]
+            assert len(scan) <= 1
+            assert rel.block(s, t) is (scan[0] if scan else None)
+            assert (rel.block(s, t) is None) == (not P.paths_of_length_two(quiver, s, t))
+            missing += not scan
+    assert 0 < missing < len(quiver.vertices) ** 2
+
+
 def test_zero_paths_two_two():
     q = P.build_quiver(2, 2)
     zero_blocks = []
