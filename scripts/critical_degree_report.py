@@ -32,7 +32,7 @@ def label(basis):
 
 
 def report(m: int, n: int) -> None:
-    q = 2 * m * n - 6
+    q = hh.critical_degree(m, n)
     alphas = hh.alpha_basis(m, n)
     c1 = hh.cochain1_basis(m, n, q)
     print(f"size ({m}, {n}), critical Adams degree {q}")

@@ -27,10 +27,6 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
-def _weight_order(w: str):
-    return (comb.height(w), w)
-
-
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -41,7 +37,9 @@ def _usage(message: str) -> int:
 
 
 def cmd_weights(args) -> int:
-    weights = sorted(comb.enumerate_weights(args.m, args.n), key=_weight_order)
+    weights = sorted(
+        comb.enumerate_weights(args.m, args.n), key=presentation.vertex_order
+    )
     if args.json:
         _emit_json({"m": args.m, "n": args.n, "weights": list(weights)})
     else:
@@ -79,7 +77,7 @@ def cmd_quiver(args) -> int:
             "m": args.m,
             "n": args.n,
             "dual": quiver.dual,
-            "vertices": sorted(quiver.vertices, key=_weight_order),
+            "vertices": sorted(quiver.vertices, key=presentation.vertex_order),
             "arrows": [
                 {
                     "name": a.name,
@@ -187,7 +185,9 @@ def cmd_diamond(args) -> int:
 
 
 def cmd_kl(args) -> int:
-    weights = sorted(comb.enumerate_weights(args.m, args.n), key=_weight_order)
+    weights = sorted(
+        comb.enumerate_weights(args.m, args.n), key=presentation.vertex_order
+    )
     entries = []
     for lam in weights:
         for mu in weights:
@@ -270,7 +270,7 @@ def cmd_deform(args) -> int:
         scale = Fraction(args.alpha2)
     except (ValueError, ZeroDivisionError):
         return _usage(f"--alpha2 expects a rational number, got {args.alpha2!r}")
-    q = 2 * args.m * args.n - 6
+    q = hh.critical_degree(args.m, args.n)
     cocycle: dict = {}
     if scale:
         for lhs, terms in hh.extract_cocycle(args.m, args.n, q).items():
@@ -314,8 +314,7 @@ def cmd_verify(args) -> int:
 
     dual = koszul.certify_dual_system(m, n, args.fuel)
     if not dual.ok:
-        witness = dual.diamond.failures or dual.mismatches
-        return fail("dual-system", witness[0])
+        return fail("dual-system", dual.diamond.failures[0])
     print(
         f"ok dual-system ({dual.diamond.overlaps_checked} overlaps, "
         f"dimension {dual.dimension})"
@@ -335,7 +334,7 @@ def cmd_verify(args) -> int:
         print("skipped long-relations (needs m >= n >= 2)")
 
     if m >= 2 and n >= 2:
-        q = 2 * m * n - 6
+        q = hh.critical_degree(m, n)
         cert = hh.hh2_certificate(m, n, q)
         if cert.dimension == 0:
             return fail(

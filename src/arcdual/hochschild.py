@@ -331,7 +331,7 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
         null = linalg.nullspace(columns, n2)
         if len(null) == 1:
             normal = tuple(linalg.primitive_integer_vector(null[0]))
-    if m >= 2 and n >= 2 and q == 2 * m * n - 6:
+    if m >= 2 and n >= 2 and q == critical_degree(m, n):
         alphas = alpha_basis(m, n)
         if len(alphas) == n2 and set(alphas) == set(basis2):
             position = {c: i for i, c in enumerate(basis2)}
@@ -361,6 +361,12 @@ def adams_degrees(m: int, n: int) -> range:
     """The even Adams degrees 0, 2, ..., 2mn - 2 that `hh2_table` and
     `verify` cover; degree 0 alone when mn = 0."""
     return range(0, max(2 * m * n - 1, 1), 2)
+
+
+def critical_degree(m: int, n: int) -> int:
+    """The Adams degree 2mn - 6 of the distinguished HH^2 class
+    (defined for m, n >= 2)."""
+    return 2 * m * n - 6
 
 
 def hh2_table(m: int, n: int):
@@ -399,7 +405,7 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
     reduced, pivots = linalg.rref(list(zip(*cob.matrix)))
 
     candidates = []
-    if m >= 2 and n >= 2 and q == 2 * m * n - 6:
+    if m >= 2 and n >= 2 and q == critical_degree(m, n):
         unit = [F0] * len(basis)
         unit[index[alpha_basis(m, n)[1]]] = F1
         candidates.append(unit)

@@ -7,6 +7,7 @@ import pytest
 
 from arcdual import cli
 from arcdual import hochschild as hh
+from arcdual import koszul
 
 
 def run(capsys, *argv):
@@ -281,6 +282,24 @@ def test_verify_fails_on_zero_critical_hh2(capsys, monkeypatch):
     assert out.splitlines()[-1] == "failed hh2-critical"
     assert not any(line.startswith("ok hh2-critical") for line in out.splitlines())
     assert "'adams': 2" in err and "'dimension': 0" in err
+
+
+def test_verify_reports_a_short_basis_bucket_as_graded_failure(capsys, monkeypatch):
+    # the dual-system line still certifies the diamond and prints the
+    # dimension; the count mismatch is the graded certificate's to report
+    full = koszul.irreducible_basis(2, 2)
+    key = max(full, key=lambda k: (len(full[k]), k))
+    short = dict(full)
+    short[key] = full[key][1:]
+    monkeypatch.setattr(koszul, "irreducible_basis", lambda m, n: short)
+    code, out, err = run(capsys, "verify", "2", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "ok rho (36 blocks)",
+        "ok dual-system (8 overlaps, dimension 96)",
+        "failed graded-dimensions",
+    ]
+    assert f"witness: {(*key, len(full[key]) - 1, len(full[key]))}" in err
 
 
 def test_usage_unknown_verb(capsys):

@@ -342,7 +342,6 @@ def test_certify_dual_system(m, n, dim):
     assert report.ok
     assert report.diamond.ok
     assert report.dimension == dim
-    assert report.mismatches == ()
 
 
 @pytest.mark.parametrize(
@@ -419,20 +418,42 @@ def test_certificates_report_a_missing_basis_path(monkeypatch):
     start, end, length = key
     want = len(full[key])
     assert want > 1
-    block = sum(len(b) for (s, e, _), b in full.items() if (s, e) == (start, end))
     short = dict(full)
     short[key] = full[key][1:]
     monkeypatch.setattr(K, "irreducible_basis", lambda m, n: short)
 
+    # the dual-system report is the diamond check plus the dimension;
+    # only the graded certificate compares counts with KL
     dual = K.certify_dual_system(2, 2)
-    assert not dual.ok
+    assert dual.ok
     assert dual.diamond.ok
     assert dual.dimension == 96
-    assert dual.mismatches == ((start, end, block - 1, block),)
 
     graded = K.certify_graded_dimensions(2, 2)
     assert not graded.ok
     assert graded.mismatches == ((start, end, length, want - 1, want),)
+
+
+def test_graded_certificate_reports_a_perturbed_kl_coefficient(monkeypatch):
+    # P_top,top enters only the (top, top) block, and doubling its
+    # constant term moves the degree-zero coefficient there from 1 to 4
+    # warm the kl_poly cache first, so that the recursion behind the
+    # other entries never calls the patched function
+    assert K.certify_graded_dimensions(2, 2).ok
+    top = comb.highest_weight(2, 2)
+    original = K.kl_poly
+
+    def perturbed(lam, mu):
+        if lam == mu == top:
+            return K.KLPolynomial((2,))
+        return original(lam, mu)
+
+    monkeypatch.setattr(K, "kl_poly", perturbed)
+    graded = K.certify_graded_dimensions(2, 2)
+    assert not graded.ok
+    assert graded.buckets_checked == 324
+    assert graded.mismatches == ((top, top, 0, 1, 4),)
+    assert K.certify_dual_system(2, 2).ok
 
 
 def test_verify_enumerates_the_basis_once_per_vertex(monkeypatch, capsys):
