@@ -42,6 +42,7 @@ from functools import lru_cache
 
 from . import combinatorics as comb
 from .combinatorics import DOWN, UP, cup_matching
+from .linalg import add_term
 
 
 class InvalidDiagram(ValueError):
@@ -206,14 +207,6 @@ def involution(x: dict[ArcDiagram, Fraction]) -> dict[ArcDiagram, Fraction]:
     return {involution_diagram(d): c for d, c in x.items()}
 
 
-def add_scaled(acc: dict, key, coeff) -> None:
-    new = acc.get(key, 0) + coeff
-    if new:
-        acc[key] = new
-    else:
-        acc.pop(key, None)
-
-
 # ---------------------------------------------------------------------------
 # Surgery engine.
 #
@@ -329,7 +322,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
         new_states: dict[frozenset, Fraction] = {}
 
         def emit(state: dict, coeff: Fraction) -> None:
-            add_scaled(new_states, frozenset(state.items()), coeff)
+            add_term(new_states, frozenset(state.items()), coeff)
 
         if c_low is not c_high:
             # merge
@@ -420,7 +413,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
                     nu[p] = first if t % 2 == 0 else flip(first)
         assert not st
         product = make_arc_diagram(a.cup_weight, "".join(nu), b.cap_weight)
-        add_scaled(result, product, coeff)
+        add_term(result, product, coeff)
     return result
 
 
@@ -449,6 +442,6 @@ def multiply(
     for da, ca in x.items():
         for db, cb in y.items():
             for d, c in multiply_diagrams(da, db):
-                add_scaled(out, d, ca * cb * c)
+                add_term(out, d, ca * cb * c)
     return out
 

@@ -174,7 +174,7 @@ def cmd_diamond(args) -> int:
             OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError
         ) as exc:
             return _usage(f"cannot load deformation {args.deformed!r}: {exc}")
-    report = rw.check_diamond(system, args.fuel)
+    report = rw.check_diamond(system)
     print(f"overlaps {report.overlaps_checked}")
     if report.ok:
         print("ok")
@@ -275,7 +275,7 @@ def cmd_deform(args) -> int:
     if scale:
         for lhs, terms in hh.extract_cocycle(args.m, args.n, q).items():
             cocycle[lhs] = {p: c * scale for p, c in terms.items()}
-    report = hh.deformed_algebra(args.m, args.n, cocycle, args.fuel)
+    report = hh.deformed_algebra(args.m, args.n, cocycle)
     rules = koszul.reduction_system_json(report.system)
     for row, r in zip(rules, report.system.rules):
         row["rhs_t"] = [{"coeff": str(c), "path": list(p.arrows)} for p, c in r.rhs_t]
@@ -300,7 +300,7 @@ def cmd_deform(args) -> int:
 
 def cmd_verify(args) -> int:
     m, n = args.m, args.n
-    bar_limit = hh.bar_capacity()
+    hh.bar_capacity()  # a bad ARCDUAL_BAR_CAPACITY fails before any work
 
     def fail(name: str, witness) -> int:
         print(f"failed {name}")
@@ -312,7 +312,7 @@ def cmd_verify(args) -> int:
         return fail("rho", rho.mismatches[0])
     print(f"ok rho ({rho.blocks_checked} blocks)")
 
-    dual = koszul.certify_dual_system(m, n, args.fuel)
+    dual = koszul.certify_dual_system(m, n)
     if not dual.ok:
         return fail("dual-system", dual.diamond.failures[0])
     print(
@@ -326,7 +326,7 @@ def cmd_verify(args) -> int:
     print(f"ok graded-dimensions ({graded.buckets_checked} buckets)")
 
     if m >= n >= 2:
-        long_rel = koszul.verify_long_relations(m, n, args.fuel)
+        long_rel = koszul.verify_long_relations(m, n)
         if not long_rel.ok:
             return fail("long-relations", long_rel.failures[0])
         print(f"ok long-relations ({long_rel.identities_checked} identities)")
@@ -349,7 +349,7 @@ def cmd_verify(args) -> int:
 
     try:
         for q in hh.adams_degrees(m, n):
-            bar = hh.hh2_bar_oracle(m, n, q, bar_limit)
+            bar = hh.hh2_bar_oracle(m, n, q)
             deform = hh.hh2_dim(m, n, q)
             if bar != deform:
                 return fail(
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("diamond", help="resolve all overlap ambiguities")
     _add_common(p)
     p.add_argument("--deformed", metavar="FILE")
-    p.add_argument("--fuel", type=int, default=rw.DEFAULT_FUEL)
     p.set_defaults(func=cmd_diamond)
 
     p = subs.add_parser("kl", help="Kazhdan-Lusztig polynomial table")
@@ -435,12 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--alpha2", default="1")
     p.add_argument("--emit-relations", action="store_true", dest="emit_relations")
-    p.add_argument("--fuel", type=int, default=rw.DEFAULT_FUEL)
     p.set_defaults(func=cmd_deform)
 
     p = subs.add_parser("verify", help="run every certification suite")
     _add_common(p)
-    p.add_argument("--fuel", type=int, default=rw.DEFAULT_FUEL)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -454,8 +451,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.m < 0 or args.n < 0:
         return _usage(f"type ({args.m}, {args.n}) is not valid")
-    if getattr(args, "fuel", 0) < 0:
-        return _usage(f"--fuel must be at least 0, got {args.fuel}")
     started = time.monotonic()
     try:
         code = args.func(args)

@@ -7,8 +7,8 @@ a cochain is a cocycle when every overlap ambiguity still resolves
 to first order in the deformation parameter, and coboundaries come
 from deforming the irreducible-path basis itself.  The cocycle
 constraints are the linear form of the deformed diamond check: they
-read the rule applications of `rewrite.resolve_overlap`, the same
-resolution `check_diamond` compares, and resolve nothing themselves.
+read the rule applications of `koszul.dual_resolution`, the resolution
+`certify_dual_system` compares, and resolve nothing themselves.
 The dimension of HH^2 in Adams degree q is
 
     dim ker(constraints) - rank(coboundary).
@@ -16,7 +16,7 @@ The dimension of HH^2 in Adams degree q is
 Everything is exact over the rationals.  An independent oracle
 recomputes the same dimension from the reduced bar complex of the
 algebra on its irreducible-path basis; its elimination fills in
-steeply with the basis size, so it is guarded by a capacity limit.
+steeply with the basis size, so ARCDUAL_BAR_CAPACITY guards it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from . import linalg
 from . import rewrite as rw
 from .combinatorics import env_capacity, sort_key
 from .errors import CapacityError, CertificationError
-from .koszul import irreducible_basis, reduction_system, staircase_chart
+from .koszul import dual_resolution, irreducible_basis, reduction_system, staircase_chart
 from .presentation import dual_arrow
-from .rewrite import DEFAULT_FUEL, Path, path_key
+from .rewrite import Path, path_key
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -107,35 +107,24 @@ class ConstraintSystem:
 
 
 @lru_cache(maxsize=None)
-def _overlap_events(m: int, n: int):
-    """For each overlap, the rule applications of its two resolutions
-    (`rewrite.resolve_overlap`), as (lhs, factor, prefix, suffix) with
-    factor +coeff on the left branch and -coeff on the right.
-
-    A 2-cochain is a cocycle iff for every overlap the sum of
-    factor * NF(prefix * value(lhs) * suffix) over its events vanishes.
-    """
-    system = reduction_system(m, n)
-    out = []
-    for ov in rw.enumerate_overlaps(system):
-        left, right = rw.resolve_overlap(ov, system)
-        signed = [(e, e.coeff) for e in left.events] + [(e, -e.coeff) for e in right.events]
-        out.append(tuple((e.rule.lhs.arrows, c, e.prefix, e.suffix) for e, c in signed))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
     """Linear conditions on 2-cochains for all overlaps to resolve at
-    first order.  Rows are labelled (overlap index, irreducible path);
-    identically zero rows are dropped."""
+    first order: per overlap, factor * NF(prefix * value(lhs) * suffix)
+    summed over its rule applications vanishes.  Rows are labelled
+    (overlap index, irreducible path); identically zero rows are
+    dropped.  CertificationError if the dual system is not confluent."""
+    diamond, applications = dual_resolution(m, n)
+    if not diamond.ok:
+        raise CertificationError(
+            "dual reduction system fails the diamond check", witness=diamond.failures[0]
+        )
     basis = cochain2_basis(m, n, q)
     by_lhs: dict = {}
     for j, c in enumerate(basis):
         by_lhs.setdefault(c.lhs, []).append((j, c.path))
     rows = []
     matrix = []
-    for o_idx, events in enumerate(_overlap_events(m, n)):
+    for o_idx, events in enumerate(applications):
         acc: dict = {}
         for lhs, factor, pre, suf in events:
             for j, p in by_lhs.get(lhs, ()):
@@ -305,8 +294,9 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
     Always certifies that the coboundary image satisfies the cocycle
     constraints.  When the constraints are vacuous and the coboundary
     has corank one, also records the primitive integer normal vector
-    of the image hyperplane in the basis recorded on the certificate;
-    in the critical degree the basis is listed in distinguished order.
+    of the image hyperplane in the basis recorded on the certificate.
+    In the critical degree the basis is `alpha_basis`, in distinguished
+    order; CertificationError if that is not the cochain basis.
     """
     cons = cocycle_constraints(m, n, q)
     cob = coboundary_matrix(m, n, q)
@@ -333,11 +323,15 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
             normal = tuple(linalg.primitive_integer_vector(null[0]))
     if m >= 2 and n >= 2 and q == critical_degree(m, n):
         alphas = alpha_basis(m, n)
-        if len(alphas) == n2 and set(alphas) == set(basis2):
-            position = {c: i for i, c in enumerate(basis2)}
-            if normal is not None:
-                normal = tuple(normal[position[c]] for c in alphas)
-            basis = alphas
+        if len(alphas) != n2 or set(alphas) != set(basis2):
+            raise CertificationError(
+                "distinguished cochains are not the critical cochain basis",
+                witness={"m": m, "n": n, "distinguished": len(alphas), "cochains": n2},
+            )
+        position = {c: i for i, c in enumerate(basis2)}
+        if normal is not None:
+            normal = tuple(normal[position[c]] for c in alphas)
+        basis = alphas
     return HH2Certificate(
         m=m,
         n=n,
@@ -540,7 +534,7 @@ class DeformationReport:
     a_infinity: str | None
 
 
-def deformed_algebra(m: int, n: int, cocycle, fuel: int = DEFAULT_FUEL) -> DeformationReport:
+def deformed_algebra(m: int, n: int, cocycle) -> DeformationReport:
     """Deform the reduction system along a cocycle and certify it.
 
     The deformed system is checked to be confluent to first order in
@@ -551,7 +545,7 @@ def deformed_algebra(m: int, n: int, cocycle, fuel: int = DEFAULT_FUEL) -> Defor
     """
     base = reduction_system(m, n)
     deformed = base.with_deformation(cocycle)
-    order_one = rw.check_diamond(deformed, fuel)
+    order_one = rw.check_diamond(deformed)
     if not order_one.ok:
         raise CertificationError(
             "deformed system fails the diamond check to first order",
@@ -560,13 +554,11 @@ def deformed_algebra(m: int, n: int, cocycle, fuel: int = DEFAULT_FUEL) -> Defor
     merged_rules = []
     for rule in deformed.rules:
         merged: dict = {}
-        for p, c in rule.rhs:
-            rw.add_term(merged, p, c)
-        for p, c in rule.rhs_t:
+        for p, c in rule.rhs + rule.rhs_t:
             rw.add_term(merged, p, c)
         merged_rules.append(rw.make_rule(rule.lhs, merged, None, rule.tag))
     at_one_system = rw.ReductionSystem(base.quiver, tuple(merged_rules))
-    at_one = rw.check_diamond(at_one_system, fuel)
+    at_one = rw.check_diamond(at_one_system)
     if not at_one.ok:
         raise CertificationError(
             "deformed system fails the diamond check at parameter one",
@@ -654,7 +646,7 @@ def _bar_data(m: int, n: int):
     return pos, by_start, by_end, index, product, tuple(pairs), containing
 
 
-def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
+def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     """dim HH^2 in Adams degree q from the reduced bar complex on the
     irreducible-path basis.
 
@@ -669,10 +661,10 @@ def hh2_bar_oracle(m: int, n: int, q: int, capacity: int | None = None) -> int:
     indices in `path_key` order, so keys compare as the paths do and
     hash as plain integers.  The cost is elimination fill-in, steep in
     the number of positive basis paths, so the computation refuses to
-    start above the capacity (parameter, else the ARCDUAL_BAR_CAPACITY
-    variable, else 200).
+    start above `bar_capacity()`: the ARCDUAL_BAR_CAPACITY variable,
+    else 200.
     """
-    limit = bar_capacity() if capacity is None else capacity
+    limit = bar_capacity()
     basis = irreducible_basis(m, n)
     positive = sum(len(b) for (_, _, length), b in basis.items() if length > 0)
     if positive > limit:

@@ -31,7 +31,9 @@ irreducible paths of length k, and the number of irreducible paths of
 length i between two vertices is the coefficient of q^i in the product
 of their KL columns.  `certify_graded_dimensions` is the one place that
 compares the index with that product; `certify_dual_system` is the
-diamond check plus the dimension.  The KL side uses no rewrite rules,
+diamond check plus the dimension.  The overlaps are resolved once per
+size (`dual_resolution`): the diamond report and the HH^2 cocycle
+constraints read the same resolution.  The KL side uses no rewrite rules,
 so it cross-checks the rewriting machinery.
 """
 
@@ -65,18 +67,19 @@ from .presentation import (
     relations_K,
 )
 from .rewrite import (
-    DEFAULT_FUEL,
     DiamondReport,
     LinComb,
     Path,
     ReductionSystem,
     add_term,
-    check_diamond,
+    diamond_failure,
+    enumerate_overlaps,
     irreducible_paths_from,
     make_path,
     make_rule,
     normal_form,
     path_key,
+    resolve_overlap,
     scale_into,
 )
 
@@ -242,12 +245,12 @@ def _cubic_alternate(vs: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
 
 
 def _ybar_path(qbar: Quiver, verts) -> Path:
-    return make_path(qbar, [f"ybar:{u}->{w}" for u, w in zip(verts, verts[1:])])
+    return make_path(qbar, [Arrow("ybar", u, w).name for u, w in zip(verts, verts[1:])])
 
 
 def _xbar_path(qbar: Quiver, verts) -> Path:
     down = list(reversed(verts))
-    return make_path(qbar, [f"xbar:{u}->{w}" for u, w in zip(down, down[1:])])
+    return make_path(qbar, [Arrow("xbar", u, w).name for u, w in zip(down, down[1:])])
 
 
 @lru_cache(maxsize=None)
@@ -589,14 +592,35 @@ class DualSystemReport:
     dimension: int
 
 
-def certify_dual_system(
-    m: int, n: int, fuel: int = DEFAULT_FUEL
-) -> DualSystemReport:
+@lru_cache(maxsize=None)
+def dual_resolution(m: int, n: int):
+    """Every overlap of `reduction_system(m, n)` resolved once: the
+    diamond report, and per overlap the rule applications (lhs arrows,
+    factor, prefix, suffix) that the HH^2 cocycle constraints read,
+    factor +coeff on the left branch and -coeff on the right."""
+    system = reduction_system(m, n)
+    overlaps = enumerate_overlaps(system)
+    failures, applications = [], []
+    for overlap in overlaps:
+        left, right = resolve_overlap(overlap, system)
+        failures.append(diamond_failure(overlap, left, right))
+        applications.append(
+            tuple(
+                (e.rule.lhs.arrows, sign * e.coeff, e.prefix, e.suffix)
+                for sign, branch in ((1, left), (-1, right))
+                for e in branch.events
+            )
+        )
+    failures = tuple(f for f in failures if f is not None)
+    return DiamondReport(not failures, len(overlaps), failures), tuple(applications)
+
+
+def certify_dual_system(m: int, n: int) -> DualSystemReport:
     """Diamond check of the reduction system, with the dimension of the
     dual algebra: the number of its irreducible paths.  The counts
     themselves are certified against KL by `certify_graded_dimensions`.
     """
-    diamond = check_diamond(reduction_system(m, n), fuel)
+    diamond = dual_resolution(m, n)[0]
     dimension = sum(len(bucket) for bucket in irreducible_basis(m, n).values())
     return DualSystemReport(diamond.ok, diamond, dimension)
 
@@ -721,7 +745,7 @@ class StaircaseChart:
         return self._weight(list(range(m - 2)) + [m - 1, n + m - 1 - s])
 
     def _arrow(self, kind: str, source: str, target: str) -> Arrow:
-        name = f"{kind}:{source}->{target}"
+        name = Arrow(kind, source, target).name
         arrow = self.quiver.by_name.get(name)
         if arrow is None:
             raise CertificationError(
@@ -833,9 +857,7 @@ class LongRelationReport:
     failures: tuple
 
 
-def verify_long_relations(
-    m: int, n: int, fuel: int = DEFAULT_FUEL
-) -> LongRelationReport:
+def verify_long_relations(m: int, n: int) -> LongRelationReport:
     """Check the staircase identities as normal-form equalities.
 
     Covers the two-term vertex relations along the main track, the
@@ -852,9 +874,6 @@ def verify_long_relations(
     def pth(arrows, start=None):
         return make_path(qbar, arrows, start)
 
-    def nf(x):
-        return normal_form(x, system, fuel)
-
     def combi(terms):
         out: LinComb = {}
         for path, coeff in terms:
@@ -866,7 +885,6 @@ def verify_long_relations(
     def add_check(name, lhs, rhs):
         checks.append((name, lhs, rhs))
 
-    mn = m * n
     for i in range(m):
         for j in range(1, n - 1):
             k = n * i + j
@@ -1010,8 +1028,8 @@ def verify_long_relations(
 
     failures = []
     for name, lhs, rhs in checks:
-        left = nf(lhs)
-        right = nf(rhs)
+        left = normal_form(lhs, system)
+        right = normal_form(rhs, system)
         if left != right:
             diff = dict(left)
             scale_into(diff, right, Fraction(-1))

@@ -19,6 +19,15 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def add_term(acc: dict, key, coeff) -> None:
+    """Add coeff at key of a sparse vector, dropping the key at zero."""
+    new = acc.get(key, 0) + coeff
+    if new:
+        acc[key] = new
+    else:
+        acc.pop(key, None)
+
+
 def _sparse(row) -> dict:
     return {j: x for j, x in enumerate(row) if x}
 

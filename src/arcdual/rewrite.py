@@ -16,10 +16,10 @@ overlap: each branch applies its own rule once and reduces the result,
 recording every rule application with its context (prefix, suffix) as
 an `Event`.  The order-zero normal form is the plain reduction; the
 order-one part is the sum of prefix * rhs_t * suffix over the events,
-reduced with the plain rules only.  `check_diamond` compares the two
+reduced with the plain rules only.  `diamond_failure` compares the two
 branches' normal forms; since the events do not depend on rhs_t,
-anything linear in the deformation (the Hochschild cocycle
-constraints) is read off the events of one undeformed run.
+anything linear in the deformation (the Hochschild cocycle constraints)
+is read off the events of one undeformed run (`koszul.dual_resolution`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FuelError
+from .linalg import add_term
 from .presentation import Quiver
 
 DEFAULT_FUEL = 10**6
@@ -84,14 +85,6 @@ def compose(p: Path, q: Path) -> Path:
 
 # Linear combinations are plain dicts Path -> Fraction without zero values.
 LinComb = dict
-
-
-def add_term(acc: LinComb, path: Path, coeff: Fraction) -> None:
-    new = acc.get(path, 0) + coeff
-    if new:
-        acc[path] = new
-    else:
-        acc.pop(path, None)
 
 
 def scale_into(acc: LinComb, x: LinComb, factor: Fraction = Fraction(1)) -> None:
@@ -357,28 +350,30 @@ def resolve_overlap(
     )
 
 
+def diamond_failure(overlap: Overlap, left: Branch, right: Branch) -> dict | None:
+    """None if both resolutions agree over the dual numbers, else a witness."""
+    if left.nf0 == right.nf0 and left.nf1 == right.nf1:
+        return None
+    diff0, diff1 = dict(left.nf0), dict(left.nf1)
+    scale_into(diff0, right.nf0, Fraction(-1))
+    scale_into(diff1, right.nf1, Fraction(-1))
+    return {
+        "word": repr(overlap.word),
+        "difference": {repr(p): str(c) for p, c in diff0.items()},
+        "difference_t": {repr(p): str(c) for p, c in diff1.items()},
+    }
+
+
 def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondReport:
     """Resolve every overlap ambiguity two ways and compare normal forms.
 
     Rules with a deformation part are compared over the dual numbers, so
     the report also certifies a first-order deformation when present.
     """
-    failures = []
     overlaps = enumerate_overlaps(system)
-    for overlap in overlaps:
-        left, right = resolve_overlap(overlap, system, fuel)
-        if left.nf0 != right.nf0 or left.nf1 != right.nf1:
-            diff0, diff1 = dict(left.nf0), dict(left.nf1)
-            scale_into(diff0, right.nf0, Fraction(-1))
-            scale_into(diff1, right.nf1, Fraction(-1))
-            failures.append(
-                {
-                    "word": repr(overlap.word),
-                    "difference": {repr(p): str(c) for p, c in diff0.items()},
-                    "difference_t": {repr(p): str(c) for p, c in diff1.items()},
-                }
-            )
-    return DiamondReport(not failures, len(overlaps), tuple(failures))
+    found = (diamond_failure(o, *resolve_overlap(o, system, fuel)) for o in overlaps)
+    failures = tuple(f for f in found if f is not None)
+    return DiamondReport(not failures, len(overlaps), failures)
 
 
 def irreducible_paths_from(

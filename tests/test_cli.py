@@ -8,6 +8,7 @@ import pytest
 from arcdual import cli
 from arcdual import hochschild as hh
 from arcdual import koszul
+from arcdual import rewrite as rw
 
 
 def run(capsys, *argv):
@@ -314,20 +315,71 @@ def test_usage_negative_type(capsys):
     assert run(capsys, "dim", "-1", "2")[0] == 2
 
 
-@pytest.mark.parametrize("value", ["-1", "-5", "abc"])
+@pytest.mark.parametrize("value", ["-1", "-5", "abc", "1000"])
 @pytest.mark.parametrize("verb", ["diamond", "deform", "verify"])
 def test_bad_fuel_is_usage_error(capsys, verb, value):
+    # every rewrite uses rewrite.DEFAULT_FUEL; --fuel is no option at all
     code, out, err = run(capsys, verb, "2", "2", "--fuel", value)
     assert code == 2
     assert out == ""
-    assert "--fuel" in err
+    assert "unrecognized arguments: --fuel" in err
+
+
+@pytest.fixture
+def fresh_resolution():
+    """Drop the cached overlap resolution and the HH^2 results read off
+    it, before and after the test."""
+    caches = (koszul.dual_resolution, hh.cocycle_constraints, hh.hh2_certificate)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("verb", ["diamond", "deform", "verify"])
-def test_zero_fuel_is_exhausted(capsys, verb):
-    code, _, err = run(capsys, verb, "2", "2", "--fuel", "0")
+def test_zero_fuel_is_exhausted(capsys, monkeypatch, fresh_resolution, verb):
+    class Spent(rw._Fuel):
+        def __init__(self, amount):
+            super().__init__(0)
+
+    monkeypatch.setattr(rw, "_Fuel", Spent)
+    code, _, err = run(capsys, verb, "2", "2")
     assert code == 3
     assert "rewriting fuel exhausted" in err
+
+
+@pytest.mark.parametrize(
+    "verb",
+    ["weights", "dim", "quiver", "relations", "reduction-system", "diamond", "kl",
+     "hh2", "hh2-table", "deform", "verify"],
+)
+def test_no_verb_offers_fuel(capsys, verb):
+    code, out, _ = run(capsys, verb, "--help")
+    assert code == 0
+    assert "--fuel" not in out
+
+
+def test_hh2_fails_on_a_non_confluent_dual_system(capsys, monkeypatch, fresh_resolution):
+    # the cocycle constraints are read off a resolution whose two sides
+    # were compared, so a flipped rule sign stops hh2 with a witness
+    system = koszul.reduction_system(2, 2)
+    target = next(r for r in system.rules if r.rhs)
+    flipped = rw.ReductionSystem(
+        system.quiver,
+        [
+            rw.Rule(r.lhs, tuple((p, -c) for p, c in r.rhs), r.rhs_t, r.tag)
+            if r is target
+            else r
+            for r in system.rules
+        ],
+    )
+    monkeypatch.setattr(koszul, "reduction_system", lambda m, n: flipped)
+    code, out, err = run(capsys, "hh2", "2", "2", "--adams", "0")
+    assert code == 1
+    assert out == ""
+    assert "fails the diamond check" in err
+    assert "witness:" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])

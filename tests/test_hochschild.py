@@ -264,6 +264,17 @@ def test_certificate_critical_degree(m, n, normal):
     assert cert.constraint_normal_vector == normal
 
 
+@pytest.mark.parametrize("wrong", ["dropped", "duplicated"])
+def test_certificate_rejects_a_wrong_distinguished_basis(monkeypatch, wrong):
+    # the critical degree lists the distinguished cochains; when they are
+    # not exactly the cochain basis the certificate fails, not falls back
+    alphas = hh.alpha_basis(2, 2)
+    bad = alphas[:-1] if wrong == "dropped" else alphas[:-1] + alphas[:1]
+    monkeypatch.setattr(hh, "alpha_basis", lambda m, n: bad)
+    with pytest.raises(CertificationError, match="not the critical cochain basis"):
+        hh.hh2_certificate.__wrapped__(2, 2, 2)
+
+
 def test_constraint_normals_are_involution_antiinvariant():
     # the x/y involution permutes the alpha basis in pairs; both sign
     # patterns are negated by it, so the hyperplane itself is stable
@@ -327,16 +338,18 @@ def test_bar_oracle_agrees_12():
         assert hh.hh2_bar_oracle(1, 2, q) == hh.hh2_dim(1, 2, q) == 0
 
 
-def test_bar_oracle_agrees_at_critical_degree_with_raised_capacity():
+def test_bar_oracle_agrees_at_critical_degree_with_raised_capacity(monkeypatch):
     # the Adams restriction keeps the complex small in high degrees,
     # so the larger sizes are checkable once the capacity is raised
+    monkeypatch.setenv(hh.BAR_CAPACITY_ENV, "500")
     for m, n in ((3, 2), (2, 3)):
-        assert hh.hh2_bar_oracle(m, n, 2 * m * n - 6, capacity=500) == 1
+        assert hh.hh2_bar_oracle(m, n, 2 * m * n - 6) == 1
 
 
-def test_bar_oracle_agrees_below_critical_degree_with_raised_capacity():
+def test_bar_oracle_agrees_below_critical_degree_with_raised_capacity(monkeypatch):
+    monkeypatch.setenv(hh.BAR_CAPACITY_ENV, "421")
     for m, n in ((3, 2), (2, 3)):
-        assert hh.hh2_bar_oracle(m, n, 4, capacity=421) == hh.hh2_dim(m, n, 4) == 1
+        assert hh.hh2_bar_oracle(m, n, 4) == hh.hh2_dim(m, n, 4) == 1
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])
@@ -360,11 +373,13 @@ def test_bar_product_table_rewrites_arrow_products_only():
     assert hh._nf_terms.cache_info().currsize <= arrow_products
 
 
-def test_bar_oracle_capacity():
+def test_bar_oracle_capacity(monkeypatch):
+    monkeypatch.delenv(hh.BAR_CAPACITY_ENV, raising=False)
     with pytest.raises(CapacityError):
         hh.hh2_bar_oracle(3, 2, 6)
-    # explicit capacity overrides the default
-    assert hh.hh2_bar_oracle(1, 1, 0, capacity=10) == 0
+    # the variable overrides the default
+    monkeypatch.setenv(hh.BAR_CAPACITY_ENV, "10")
+    assert hh.hh2_bar_oracle(1, 1, 0) == 0
 
 
 def test_bar_capacity_env(monkeypatch):

@@ -472,6 +472,24 @@ def test_verify_enumerates_the_basis_once_per_vertex(monkeypatch, capsys):
     assert len(calls) == len(set(calls)) == len(comb.enumerate_weights(4, 3)) == 35
 
 
+def test_verify_resolves_each_overlap_once(monkeypatch, capsys):
+    # the diamond report and the HH^2 cocycle constraints read one
+    # cached resolution: 414 overlaps at (4, 3), each resolved once
+    calls = []
+    original = rw.resolve_overlap
+
+    def counting(overlap, system, fuel=rw.DEFAULT_FUEL):
+        calls.append(overlap)
+        return original(overlap, system, fuel)
+
+    monkeypatch.setattr(rw, "resolve_overlap", counting)
+    monkeypatch.setattr(K, "resolve_overlap", counting)
+    K.dual_resolution.cache_clear()
+    assert cli.main(["verify", "4", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 414
+
+
 def test_certify_catches_a_corrupted_sign(sys22):
     rules = []
     for r in sys22.rules:
