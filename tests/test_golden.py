@@ -3,7 +3,9 @@
 The bar oracle is pinned at (2,2) in Adams degrees -2 (JSON), 0 and 2.
 At (2,4), the smallest golden size whose reduction system has left-hand
 sides of lengths 2, 3 and 4, the rewriting and HH^2 verbs are pinned as
-well.
+well.  `deform 2 2 --alpha2 2/3` pins a deformation with a non-integral
+parameter, and `reduction-system 3 3` the smallest size whose rules
+carry the coefficient 2.
 
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
@@ -52,6 +54,8 @@ COMMANDS = [
     ("verify", "2", "4"),
     ("hh2-table", "2", "4"),
     ("hh2", "2", "4", "--adams", "10", "--json"),
+    ("deform", "2", "2", "--alpha2", "2/3", "--emit-relations"),
+    ("reduction-system", "3", "3"),
 ]
 
 
