@@ -194,8 +194,8 @@ def dimension(m: int, n: int) -> int:
     return sum(len(entries) ** 2 for entries in _orientation_table(m, n).values())
 
 
-def unit(m: int, n: int) -> dict[ArcDiagram, Fraction]:
-    return {idempotent(lam): Fraction(1) for lam in comb.enumerate_weights(m, n)}
+def unit(m: int, n: int) -> dict[ArcDiagram, int]:
+    return {idempotent(lam): 1 for lam in comb.enumerate_weights(m, n)}
 
 
 def involution_diagram(d: ArcDiagram) -> ArcDiagram:
@@ -243,7 +243,7 @@ def _trace(adjacency: dict, start) -> _Component:
     return _Component(frozenset(nodes), tuple(sorted(rays)), bool(rays))
 
 
-def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fraction]:
+def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, int]:
     """Resolve the middle band of the stacked pair along the given order
     of glue cups.  Each chosen cup must be admissible: not nested inside
     a cup that has not been resolved yet.  The components are traced
@@ -294,7 +294,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
     init = frozenset(
         (c.nodes, is_ccw(c)) for c in retrace(list(adjacency)) if not c.is_line
     )
-    states: dict[frozenset, Fraction] = {init: Fraction(1)}
+    states: dict[frozenset, int] = {init: 1}
 
     remaining = set(mid.cups)
     for pair in order:
@@ -319,9 +319,9 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
         # mix nodes of both inputs
         fresh = retrace(touched)
 
-        new_states: dict[frozenset, Fraction] = {}
+        new_states: dict[frozenset, int] = {}
 
-        def emit(state: dict, coeff: Fraction) -> None:
+        def emit(state: dict, coeff: int) -> None:
             add_term(new_states, frozenset(state.items()), coeff)
 
         if c_low is not c_high:
@@ -393,7 +393,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
         return UP if m == DOWN else DOWN
 
     components = set(component.values())
-    result: dict[ArcDiagram, Fraction] = {}
+    result: dict[ArcDiagram, int] = {}
     for state, coeff in states.items():
         st = dict(state)
         nu = [None] * len(lam)
@@ -420,7 +420,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, Fracti
 @lru_cache(maxsize=None)
 def multiply_diagrams(
     a: ArcDiagram, b: ArcDiagram
-) -> tuple[tuple[ArcDiagram, Fraction], ...]:
+) -> tuple[tuple[ArcDiagram, int], ...]:
     """Product of two basis diagrams as a sorted tuple of (diagram, coeff).
 
     Zero unless the cap weight of a equals the cup weight of b.  Surgery

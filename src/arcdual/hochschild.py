@@ -22,7 +22,6 @@ steeply with the basis size, so ARCDUAL_BAR_CAPACITY guards it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -32,9 +31,6 @@ from .errors import CapacityError, CertificationError
 from .koszul import dual_resolution, irreducible_basis, reduction_system, staircase_chart
 from .presentation import dual_arrow
 from .rewrite import Path, path_key
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 BAR_CAPACITY_ENV = "ARCDUAL_BAR_CAPACITY"
 BAR_CAPACITY_DEFAULT = 200
@@ -106,6 +102,17 @@ class ConstraintSystem:
     matrix: tuple
 
 
+def _confluent_resolution(m: int, n: int):
+    """The rule applications of `dual_resolution(m, n)`, per overlap.
+    CertificationError if the dual system is not confluent."""
+    diamond, applications = dual_resolution(m, n)
+    if not diamond.ok:
+        raise CertificationError(
+            "dual reduction system fails the diamond check", witness=diamond.failures[0]
+        )
+    return applications
+
+
 @lru_cache(maxsize=None)
 def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
     """Linear conditions on 2-cochains for all overlaps to resolve at
@@ -113,11 +120,7 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
     summed over its rule applications vanishes.  Rows are labelled
     (overlap index, irreducible path); identically zero rows are
     dropped.  CertificationError if the dual system is not confluent."""
-    diamond, applications = dual_resolution(m, n)
-    if not diamond.ok:
-        raise CertificationError(
-            "dual reduction system fails the diamond check", witness=diamond.failures[0]
-        )
+    applications = _confluent_resolution(m, n)
     basis = cochain2_basis(m, n, q)
     by_lhs: dict = {}
     for j, c in enumerate(basis):
@@ -132,7 +135,7 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
                 for t, c in _nf_terms(m, n, inserted):
                     row = acc.get(t)
                     if row is None:
-                        row = acc[t] = [F0] * len(basis)
+                        row = acc[t] = [0] * len(basis)
                     row[j] += factor * c
         for t in sorted(acc, key=path_key):
             row = acc[t]
@@ -154,7 +157,7 @@ def _insertion_slots(m: int, n: int):
     system = reduction_system(m, n)
     slots: dict = {}
     for rule in system.rules:
-        terms = [(rule.lhs, F1)] + [(p, -c) for p, c in rule.rhs]
+        terms = [(rule.lhs, 1)] + [(p, -c) for p, c in rule.rhs]
         for w, coeff in terms:
             for i, name in enumerate(w.arrows):
                 slots.setdefault(name, []).append(
@@ -170,7 +173,7 @@ def coboundary_matrix(m: int, n: int, q: int) -> ConstraintSystem:
     basis2 = cochain2_basis(m, n, q)
     basis1 = cochain1_basis(m, n, q)
     index2 = {(c.lhs, c.path): i for i, c in enumerate(basis2)}
-    mat = [[F0] * len(basis1) for _ in basis2]
+    mat = [[0] * len(basis1) for _ in basis2]
     slots = _insertion_slots(m, n)
     for j, c1 in enumerate(basis1):
         for lhs, coeff, pre, suf, start, end in slots.get(c1.arrow, ()):
@@ -277,8 +280,6 @@ class HH2Certificate:
     m: int
     n: int
     q: int
-    cochain2_dim: int
-    cochain1_dim: int
     constraint_rank: int
     kernel_dim: int
     image_rank: int
@@ -302,7 +303,6 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
     cob = coboundary_matrix(m, n, q)
     basis2 = cob.rows
     n2 = len(basis2)
-    n1 = len(cob.cols)
     constraint_rank = linalg.rank(cons.matrix)
     image_rank = linalg.rank(cob.matrix)
     columns = list(zip(*cob.matrix))
@@ -336,8 +336,6 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
         m=m,
         n=n,
         q=q,
-        cochain2_dim=n2,
-        cochain1_dim=n1,
         constraint_rank=constraint_rank,
         kernel_dim=kernel_dim,
         image_rank=image_rank,
@@ -400,8 +398,8 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
 
     candidates = []
     if m >= 2 and n >= 2 and q == critical_degree(m, n):
-        unit = [F0] * len(basis)
-        unit[index[alpha_basis(m, n)[1]]] = F1
+        unit = [0] * len(basis)
+        unit[index[alpha_basis(m, n)[1]]] = 1
         candidates.append(unit)
     if (m, n, q) == (2, 2, 0):
         ch = staircase_chart(2, 2)
@@ -409,8 +407,8 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
         detour = rw.make_path(
             reduction_system(2, 2).quiver, [ch.xbar2(3).name, ch.ybar2(3).name]
         )
-        unit = [F0] * len(basis)
-        unit[index[Cochain2(lhs, detour)]] = F1
+        unit = [0] * len(basis)
+        unit[index[Cochain2(lhs, detour)]] = 1
         candidates.append(unit)
     candidates.extend(linalg.nullspace(cons.matrix, len(basis)))
 
@@ -490,7 +488,7 @@ def render_relation(quiver, rule, labels=None) -> str:
     deformation term.  Terms are listed in the canonical geometric
     order, lhs first."""
     labels = labels or {}
-    left = [(rule.lhs, F1)]
+    left = [(rule.lhs, 1)]
     left.extend(
         sorted(
             ((p, -c) for p, c in rule.rhs),
@@ -508,7 +506,7 @@ def _a_infinity_claim(m: int, n: int, assignment: dict):
     if m < 2 or n < 2:
         return None
     alpha2 = alpha_basis(m, n)[1]
-    if assignment != {alpha2.lhs: {alpha2.path: F1}}:
+    if assignment != {alpha2.lhs: {alpha2.path: 1}}:
         return None
     quiver = reduction_system(m, n).quiver
     labels = compact_labels(m, n)
@@ -662,7 +660,8 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     hash as plain integers.  The cost is elimination fill-in, steep in
     the number of positive basis paths, so the computation refuses to
     start above `bar_capacity()`: the ARCDUAL_BAR_CAPACITY variable,
-    else 200.
+    else 200.  The product table is sound only for a confluent system,
+    so CertificationError if the diamond check fails.
     """
     limit = bar_capacity()
     basis = irreducible_basis(m, n)
@@ -672,14 +671,15 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
             f"bar complex for ({m}, {n}) needs {positive} basis paths, "
             f"capacity is {limit}"
         )
+    _confluent_resolution(m, n)
     pos, by_start, by_end, index, product, pairs, containing = _bar_data(m, n)
 
     def times(x, y):
         """The terms of x·y for basis paths x and y, one of them positive."""
         if not x.arrows:
-            return ((y, F1),)
+            return ((y, 1),)
         if not y.arrows:
-            return ((x, F1),)
+            return ((x, 1),)
         return product[x, y]
 
     def column(word, w):
@@ -710,4 +710,4 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     cols1 = [
         column((u,), w) for u in pos for w in basis.get((u.start, u.end, len(u) + q), ())
     ]
-    return len(cols2) - len(linalg.echelon(cols2)) - len(linalg.echelon(cols1))
+    return len(cols2) - linalg.sparse_rank(cols2) - linalg.sparse_rank(cols1)

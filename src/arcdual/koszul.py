@@ -40,7 +40,6 @@ so it cross-checks the rewriting machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -115,7 +114,7 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
         perm = [col[(dual_arrow(b2), dual_arrow(b1))] for (b1, b2) in b.paths]
         permuted = []
         for row in b.rows:
-            vec = [Fraction(0)] * len(dual_paths)
+            vec = [0] * len(dual_paths)
             for coeff, j in zip(row, perm):
                 vec[j] = coeff
             permuted.append(vec)
@@ -389,7 +388,7 @@ def _certify_cubic_membership(qbar, relations, entries):
                             )
         basis = linalg.echelon(rows)
         for lhs, alt, sign in triples:
-            residue = {lhs.arrows: Fraction(1), alt.arrows: Fraction(-sign)}
+            residue = {lhs.arrows: 1, alt.arrows: -sign}
             # no tail holds a pivot key, so one pass clears every pivot
             for key in [k for k in residue if k in basis]:
                 c = residue.pop(key)
@@ -432,7 +431,7 @@ def reduction_system(m: int, n: int) -> ReductionSystem:
         for build in (_ybar_path, _xbar_path):
             lhs, rhs = build(qbar, vs), build(qbar, alt)
             staircase.setdefault((lhs.start, lhs.end, len(lhs)), []).append((lhs, rhs, sign))
-            rules.append(make_rule(lhs, {rhs: Fraction(sign)}, tag=TYPE_CUBIC))
+            rules.append(make_rule(lhs, {rhs: sign}, tag=TYPE_CUBIC))
     _certify_cubic_membership(qbar, relations, staircase)
     return ReductionSystem(qbar, rules)
 
@@ -877,7 +876,7 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
     def combi(terms):
         out: LinComb = {}
         for path, coeff in terms:
-            add_term(out, path, Fraction(coeff))
+            add_term(out, path, coeff)
         return out
 
     checks = []
@@ -890,13 +889,13 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
             k = n * i + j
             add_check(
                 f"vertex({i},{j})",
-                {pth([chart.ybar(k).name, chart.xbar(k).name]): Fraction(1)},
-                {pth([chart.xbar(k + 1).name, chart.ybar(k + 1).name]): Fraction(-1)},
+                {pth([chart.ybar(k).name, chart.xbar(k).name]): 1},
+                {pth([chart.xbar(k + 1).name, chart.ybar(k + 1).name]): -1},
             )
         k = n * i + n - 1
         add_check(
             f"vertex_top({i})",
-            {pth([chart.ybar(k).name, chart.xbar(k).name]): Fraction(1)},
+            {pth([chart.ybar(k).name, chart.xbar(k).name]): 1},
             {},
         )
     for i in range(m - 1):
@@ -935,9 +934,9 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
                         pth(
                             chart.xchain(n * i + j + 1, n * i + k + 1)
                             + [chart.ybar(n * i + k + 1).name]
-                        ): Fraction((-1) ** (k - j + 1))
+                        ): (-1) ** (k - j + 1)
                     }
-                add_check(f"updown({i},{j},{k})", {lhs: Fraction(1)}, rhs)
+                add_check(f"updown({i},{j},{k})", {lhs: 1}, rhs)
     for k in range(1, n + 1):
         lhs = pth(
             [chart.ybar(n * (m - 1)).name]
@@ -950,9 +949,9 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
                 pth(
                     chart.xchain(n * (m - 1) + 1, m * n - k + 1)
                     + [chart.ybar(m * n - k + 1).name]
-                ): Fraction((-1) ** (n - k + 1))
+                ): (-1) ** (n - k + 1)
             }
-        add_check(f"updown_last({k})", {lhs: Fraction(1)}, rhs)
+        add_check(f"updown_last({k})", {lhs: 1}, rhs)
 
     for i in range(m - 1):
         base = [chart.ybar(n * i).name] + chart.xchain(n * i, m * n - 3)
@@ -961,7 +960,7 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
         )
         add_check(
             f"long({i})",
-            {pth(base): Fraction(1)},
+            {pth(base): 1},
             combi(
                 [
                     (
@@ -983,16 +982,16 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
         )
         add_check(
             f"long_zero({i})",
-            {pth([chart.ybar(n * i).name] + chart.xchain(n * i, m * n - 1)): Fraction(1)},
+            {pth([chart.ybar(n * i).name] + chart.xchain(n * i, m * n - 1)): 1},
             {},
         )
         add_check(
             f"long_corollary({i})",
-            {pth([chart.ybar(n * i).name] + chart.xchain(n * i, m * n - 2)): Fraction(1)},
+            {pth([chart.ybar(n * i).name] + chart.xchain(n * i, m * n - 2)): 1},
             {
                 pth(
                     chart.xchain(n * i + 1, m * n - 1) + [chart.ybar(m * n - 1).name]
-                ): Fraction((-1) ** (n + m - i))
+                ): (-1) ** (n + m - i)
             },
         )
 
@@ -1007,22 +1006,22 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
         )
         add_check(
             f"detour({i})",
-            {pth(head): Fraction(1)},
+            {pth(head): 1},
             {
                 pth(
                     chart.xchain(n * i + 1, m * n - 2) + [chart.ybar_prime().name]
-                ): Fraction((-1) ** (m - 2 - i))
+                ): (-1) ** (m - 2 - i)
             },
         )
         full = head + chart.y0chain(m * n - 3, top) + chart.ychain(top - 1, n * (m - 2))
         add_check(
             f"detour_loop({i})",
-            {pth(full): Fraction(1)},
+            {pth(full): 1},
             {
                 pth(
                     chart.xchain(n * i + 1, m * n - 2)
                     + chart.ychain(m * n - 2, n * (m - 2))
-                ): Fraction(-((-1) ** n) * (-1) ** (m - 2 - i))
+                ): -((-1) ** n) * (-1) ** (m - 2 - i)
             },
         )
 
@@ -1032,7 +1031,7 @@ def verify_long_relations(m: int, n: int) -> LongRelationReport:
         right = normal_form(rhs, system)
         if left != right:
             diff = dict(left)
-            scale_into(diff, right, Fraction(-1))
+            scale_into(diff, right, -1)
             failures.append(
                 {
                     "identity": name,

@@ -7,7 +7,12 @@ the span of the input only.  `rref`, `rank`, `nullspace` and `in_span`
 are thin wrappers over dense rows; `first_nonzero_product` checks that
 a matrix product vanishes using the nonzero entries only.  Elimination
 is fraction-free: vectors are scaled to integers once, pivot rows stay
-integral, and only the returned tails are `Fraction`s.
+integral, and only the returned tails are `Fraction`s; `rank` and
+`sparse_rank` count the pivot rows and build no tails.
+
+Coefficients above this kernel are exact rationals held as `int`s
+wherever they are integral, and as `Fraction`s only where a denominator
+occurs; `exact` is the one normaliser.  Mixed arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -17,6 +22,14 @@ from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def exact(c) -> int | Fraction:
+    """c as an exact rational: an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def add_term(acc: dict, key, coeff) -> None:
@@ -63,14 +76,11 @@ def _clear(target: dict, key, row: dict) -> None:
         _divide_content(target)
 
 
-def echelon(vectors) -> dict:
-    """Reduced row echelon form of the span of sparse vectors.
-
-    Returns {pivot key: tail} in key order: the reduced row with that
-    pivot is 1 at the pivot key plus the tail of Fractions.  Every tail
-    key is larger than its pivot key, and no tail holds a pivot key.
-    """
-    rows: dict = {}  # pivot key -> integer row, positive at the pivot
+def _pivot_rows(vectors) -> dict:
+    """{pivot key: integer row} spanning the sparse vectors, in reduced
+    echelon form: each row is positive at its pivot and zero at every
+    other pivot key."""
+    rows: dict = {}
     for vec in vectors:
         work = _integer_row(vec)
         # no row holds another pivot key, so the clearing order is immaterial
@@ -84,10 +94,26 @@ def echelon(vectors) -> dict:
             if key in row:
                 _clear(row, key, work)
         rows[key] = work
+    return rows
+
+
+def echelon(vectors) -> dict:
+    """Reduced row echelon form of the span of sparse vectors.
+
+    Returns {pivot key: tail} in key order: the reduced row with that
+    pivot is 1 at the pivot key plus the tail of Fractions.  Every tail
+    key is larger than its pivot key, and no tail holds a pivot key.
+    """
+    rows = _pivot_rows(vectors)
     return {
         p: {k: Fraction(c, rows[p][p]) for k, c in rows[p].items() if k != p}
         for p in sorted(rows)
     }
+
+
+def sparse_rank(vectors) -> int:
+    """Dimension of the span of sparse vectors: len(echelon(vectors))."""
+    return len(_pivot_rows(vectors))
 
 
 def rref(rows):
@@ -114,7 +140,7 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(echelon(map(_sparse, rows)))
+    return sparse_rank(map(_sparse, rows))
 
 
 def nullspace(rows, ncols: int):

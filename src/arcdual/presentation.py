@@ -164,11 +164,11 @@ def rho_of_arrow(a: Arrow) -> ArcDiagram:
     raise ValueError(f"evaluation is defined on plain arrows, got {a.kind}")
 
 
-def rho_of_path(arrows) -> dict[ArcDiagram, Fraction]:
+def rho_of_path(arrows) -> dict[ArcDiagram, int]:
     """Evaluate a composable arrow sequence, multiplying left to right."""
     result = None
     for a in arrows:
-        step = {rho_of_arrow(a): Fraction(1)}
+        step = {rho_of_arrow(a): 1}
         result = step if result is None else alg.multiply(result, step)
     assert result is not None
     return result
@@ -231,7 +231,7 @@ def _kernel_rows(paths):
         {d for img in images for d in img}, key=alg.diagram_sort_key
     )
     index = {d: i for i, d in enumerate(diagrams)}
-    matrix = [[Fraction(0)] * len(paths) for _ in diagrams]
+    matrix = [[0] * len(paths) for _ in diagrams]
     for col, img in enumerate(images):
         for d, coeff in img.items():
             matrix[index[d]][col] = coeff
@@ -242,16 +242,16 @@ def _structural_rows(quiver: Quiver, source: str, target: str, paths):
     rows = []
     npaths = len(paths)
 
-    def unit_vector(idx, scale=1):
-        v = [Fraction(0)] * npaths
-        v[idx] = Fraction(scale)
+    def unit_vector(idx):
+        v = [0] * npaths
+        v[idx] = 1
         return v
 
     if source != target:
         if npaths >= 2:
             for i in range(1, npaths):
                 row = unit_vector(0)
-                row[i] = Fraction(-1)
+                row[i] = -1
                 rows.append(row)
         elif npaths == 1 and _monomial_shape(paths[0]):
             rows.append(unit_vector(0))
@@ -265,13 +265,13 @@ def _structural_rows(quiver: Quiver, source: str, target: str, paths):
     for down in downs:
         kappa = down.target
         back = next(a for a in quiver.out[kappa] if a.target == lam)
-        row = [Fraction(0)] * npaths
-        row[index[(down.name, back.name)]] = Fraction(1)
+        row = [0] * npaths
+        row[index[(down.name, back.name)]] = 1
         for up in ups:
             ret = next(a for a in quiver.out[up.target] if a.target == lam)
             coeff = c_coefficient(kappa, lam, up.target)
             if coeff:
-                row[index[(up.name, ret.name)]] -= Fraction(coeff)
+                row[index[(up.name, ret.name)]] -= coeff
         rows.append(row)
     return rows
 

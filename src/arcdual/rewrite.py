@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FuelError
-from .linalg import add_term
+from .linalg import add_term, exact
 from .presentation import Quiver
 
 DEFAULT_FUEL = 10**6
@@ -83,19 +83,23 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.start, p.arrows + q.arrows, q.end)
 
 
-# Linear combinations are plain dicts Path -> Fraction without zero values.
+# Linear combinations are plain dicts Path -> exact rational without zero
+# values: an int when the coefficient is integral, else a Fraction.
 LinComb = dict
+Coeff = int | Fraction
 
 
-def scale_into(acc: LinComb, x: LinComb, factor: Fraction = Fraction(1)) -> None:
+def scale_into(acc: LinComb, x: LinComb, factor: Coeff = 1) -> None:
     for path, coeff in x.items():
         add_term(acc, path, coeff * factor)
 
 
 def as_lincomb(x) -> LinComb:
+    """A path or {path: number} as a LinComb, coefficients normalised by
+    `linalg.exact`."""
     if isinstance(x, Path):
-        return {x: Fraction(1)}
-    return {p: Fraction(c) for p, c in x.items() if c}
+        return {x: 1}
+    return {p: exact(c) for p, c in x.items() if c}
 
 
 def sorted_terms(x: LinComb):
@@ -105,8 +109,8 @@ def sorted_terms(x: LinComb):
 @dataclass(frozen=True)
 class Rule:
     lhs: Path
-    rhs: tuple[tuple[Path, Fraction], ...]
-    rhs_t: tuple[tuple[Path, Fraction], ...] = ()
+    rhs: tuple[tuple[Path, Coeff], ...]
+    rhs_t: tuple[tuple[Path, Coeff], ...] = ()
     tag: str = ""
 
     def rhs_comb(self) -> LinComb:
@@ -216,7 +220,7 @@ class Event:
     rule: Rule
     prefix: Path
     suffix: Path
-    coeff: Fraction
+    coeff: Coeff
 
 
 class _Fuel:
@@ -231,7 +235,7 @@ class _Fuel:
         self.left -= 1
 
 
-def _insert(acc: LinComb, prefix: Path, parts, suffix: Path, coeff: Fraction) -> None:
+def _insert(acc: LinComb, prefix: Path, parts, suffix: Path, coeff: Coeff) -> None:
     """Add coeff * prefix * part * suffix for every term of parts."""
     for q, c in parts:
         add_term(
@@ -241,8 +245,8 @@ def _insert(acc: LinComb, prefix: Path, parts, suffix: Path, coeff: Fraction) ->
         )
 
 
-def _reduce(x: LinComb, system: ReductionSystem, fuel: _Fuel, events=None):
-    work = dict(as_lincomb(x))
+def _reduce(work: LinComb, system: ReductionSystem, fuel: _Fuel, events=None):
+    """Normal form of a LinComb, which is consumed."""
     out: LinComb = {}
     while work:
         path = min(work, key=path_key)
@@ -345,8 +349,8 @@ def resolve_overlap(
     head = Path(word.start, word.arrows[: len(word) - len(right.lhs)], right.lhs.start)
     no_head, no_tail = Path(word.start, (), word.start), Path(word.end, (), word.end)
     return (
-        _resolve(Event(left, no_head, tail, Fraction(1)), system, fuel),
-        _resolve(Event(right, head, no_tail, Fraction(1)), system, fuel),
+        _resolve(Event(left, no_head, tail, 1), system, fuel),
+        _resolve(Event(right, head, no_tail, 1), system, fuel),
     )
 
 
@@ -355,8 +359,8 @@ def diamond_failure(overlap: Overlap, left: Branch, right: Branch) -> dict | Non
     if left.nf0 == right.nf0 and left.nf1 == right.nf1:
         return None
     diff0, diff1 = dict(left.nf0), dict(left.nf1)
-    scale_into(diff0, right.nf0, Fraction(-1))
-    scale_into(diff1, right.nf1, Fraction(-1))
+    scale_into(diff0, right.nf0, -1)
+    scale_into(diff1, right.nf1, -1)
     return {
         "word": repr(overlap.word),
         "difference": {repr(p): str(c) for p, c in diff0.items()},

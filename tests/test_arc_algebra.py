@@ -153,6 +153,13 @@ def test_degree_additivity_exhaustive_1_2():
                 assert alg.degree(d) == alg.degree(a) + alg.degree(b)
 
 
+def test_product_coefficients_are_ints_2_2():
+    basis = alg.enumerate_basis(2, 2)
+    for a in basis:
+        for b in basis:
+            assert all(type(c) is int for _, c in alg.multiply_diagrams(a, b))
+
+
 def test_associativity_exhaustive_1_1():
     basis = alg.enumerate_basis(1, 1)
     for a in basis:

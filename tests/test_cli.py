@@ -327,9 +327,15 @@ def test_bad_fuel_is_usage_error(capsys, verb, value):
 
 @pytest.fixture
 def fresh_resolution():
-    """Drop the cached overlap resolution and the HH^2 results read off
-    it, before and after the test."""
-    caches = (koszul.dual_resolution, hh.cocycle_constraints, hh.hh2_certificate)
+    """Drop the cached overlap resolution, the normal forms and the HH^2
+    results read off them, before and after the test."""
+    caches = (
+        koszul.dual_resolution,
+        hh.cocycle_constraints,
+        hh.hh2_certificate,
+        hh._nf_terms,
+        hh._bar_data,
+    )
     for cache in caches:
         cache.cache_clear()
     yield
@@ -360,12 +366,12 @@ def test_no_verb_offers_fuel(capsys, verb):
     assert "--fuel" not in out
 
 
-def test_hh2_fails_on_a_non_confluent_dual_system(capsys, monkeypatch, fresh_resolution):
-    # the cocycle constraints are read off a resolution whose two sides
-    # were compared, so a flipped rule sign stops hh2 with a witness
+def _flipped_system_22():
+    """The (2,2) dual system with the signs of one rule's right-hand side
+    flipped: not confluent."""
     system = koszul.reduction_system(2, 2)
     target = next(r for r in system.rules if r.rhs)
-    flipped = rw.ReductionSystem(
+    return rw.ReductionSystem(
         system.quiver,
         [
             rw.Rule(r.lhs, tuple((p, -c) for p, c in r.rhs), r.rhs_t, r.tag)
@@ -374,12 +380,32 @@ def test_hh2_fails_on_a_non_confluent_dual_system(capsys, monkeypatch, fresh_res
             for r in system.rules
         ],
     )
+
+
+def test_hh2_fails_on_a_non_confluent_dual_system(capsys, monkeypatch, fresh_resolution):
+    # the cocycle constraints are read off a resolution whose two sides
+    # were compared, so a flipped rule sign stops hh2 with a witness
+    flipped = _flipped_system_22()
     monkeypatch.setattr(koszul, "reduction_system", lambda m, n: flipped)
     code, out, err = run(capsys, "hh2", "2", "2", "--adams", "0")
     assert code == 1
     assert out == ""
     assert "fails the diamond check" in err
     assert "witness:" in err
+
+
+def test_bar_oracle_fails_on_a_non_confluent_dual_system(
+    capsys, monkeypatch, fresh_resolution
+):
+    # the bar oracle's arrow-step product table assumes confluence, so it
+    # must refuse the flipped system rather than print a dimension
+    flipped = _flipped_system_22()
+    monkeypatch.setattr(koszul, "reduction_system", lambda m, n: flipped)
+    monkeypatch.setattr(hh, "reduction_system", lambda m, n: flipped)
+    code, out, err = run(capsys, "hh2", "2", "2", "--adams", "0", "--oracle", "bar")
+    assert code == 1
+    assert out == ""
+    assert "fails the diamond check" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])

@@ -118,6 +118,16 @@ def test_rules_22_verbatim(sys22):
     assert got == expected
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
+def test_rule_and_normal_form_coefficients_are_ints(m, n):
+    system = K.reduction_system(m, n)
+    coeffs = [c for r in system.rules for _, c in r.rhs]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    for overlap in rw.enumerate_overlaps(system):
+        nf = normal_form({overlap.word: 2}, system)
+        assert all(type(c) is int for c in nf.values()), overlap.word
+
+
 def test_rules_22_tags(sys22):
     tags = {}
     for r in sys22.rules:

@@ -26,6 +26,13 @@ def matrices(draw, max_rows=5, max_cols=5):
     return [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
 
 
+def test_exact_is_an_int_exactly_when_integral():
+    for value, expected in ((F(4, 2), 2), (-3, -3), (F(0), 0), ("6/3", 2)):
+        assert type(linalg.exact(value)) is int and linalg.exact(value) == expected
+    for value in (F(1, 2), F(-4, 6), "2/3"):
+        assert type(linalg.exact(value)) is F and linalg.exact(value) == F(value)
+
+
 def test_rref_fixture_dependent_rows():
     reduced, pivots = linalg.rref(mat([[1, 2], [2, 4]]))
     assert reduced == mat([[1, 2]])
@@ -169,6 +176,7 @@ def assert_echelon_matches_reference(vectors):
     assert result == _fraction_echelon(vectors)
     assert list(result) == sorted(result)
     assert all(type(v) is F for tail in result.values() for v in tail.values())
+    assert linalg.sparse_rank(vectors) == len(result)
     assert vectors == before
 
 

@@ -9,6 +9,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arcdual import koszul
 from arcdual import rewrite as rw
@@ -328,6 +330,26 @@ def test_normal_form_independent_of_strategy(system):
         assert left == right, word
         checked += 1
     assert checked > 500
+
+
+WORDS = sorted(_all_words(4), key=rw.path_key)
+
+
+def test_normal_form_of_integer_input_has_int_coefficients(system):
+    for word in WORDS:
+        nf = rw.normal_form({word: 3}, system)
+        assert all(type(c) is int for c in nf.values()), word
+
+
+@given(
+    st.dictionaries(st.sampled_from(WORDS), st.integers(-3, 3), max_size=4),
+    st.fractions(-3, 3, max_denominator=7).filter(lambda f: f.denominator != 1),
+)
+def test_normal_form_commutes_with_a_rational_scale(system, x, scale):
+    # integer rules acting on Fraction coefficients stay exact
+    nf = rw.normal_form({p: scale * c for p, c in x.items()}, system)
+    assert nf == {p: scale * c for p, c in rw.normal_form(x, system).items()}
+    assert all(type(c) in (int, Fraction) for c in nf.values())
 
 
 def _overlap(system, *shorts):
