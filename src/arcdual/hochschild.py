@@ -657,11 +657,12 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     path (from 0) when that path has coefficient g in a * b, then
     (-1)^(k+1) w * c.  A column is keyed by tuples of basis-path
     indices in `path_key` order, so keys compare as the paths do and
-    hash as plain integers.  The cost is elimination fill-in, steep in
-    the number of positive basis paths, so the computation refuses to
-    start above `bar_capacity()`: the ARCDUAL_BAR_CAPACITY variable,
-    else 200.  The product table is sound only for a confluent system,
-    so CertificationError if the diamond check fails.
+    hash as plain integers.  The cost is building the columns and
+    eliminating them, both steep in the number of positive basis paths,
+    so the computation refuses to start above `bar_capacity()`: the
+    ARCDUAL_BAR_CAPACITY variable, else 200.  The product table is
+    sound only for a confluent system, so CertificationError if the
+    diamond check fails.
     """
     limit = bar_capacity()
     basis = irreducible_basis(m, n)

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 One elimination kernel, `echelon`, reduces sparse vectors (dicts from
-ordered keys to exact numbers) to reduced row echelon form, taking
-pivots in key order.  That form is unique, so the result depends on
-the span of the input only.  `rref`, `rank`, `nullspace` and `in_span`
-are thin wrappers over dense rows; `first_nonzero_product` checks that
-a matrix product vanishes using the nonzero entries only.  Elimination
-is fraction-free: vectors are scaled to integers once, pivot rows stay
-integral, and only the returned tails are `Fraction`s; `rank` and
-`sparse_rank` count the pivot rows and build no tails.
+ordered keys to exact numbers) to reduced row echelon form, each pivot
+the least key of its row.  That form is unique, so the result depends
+on the span of the input only, and elimination is free to take the
+vectors bottom-up, in descending order of their least key: most new
+pivots then lie below every earlier one and need no back-substitution.
+`rref`, `rank`, `nullspace` and `in_span` are thin wrappers over dense
+rows; `first_nonzero_product` checks that a matrix product vanishes
+using the nonzero entries only.  Elimination is fraction-free: vectors
+are scaled to integers once, pivot rows stay integral, and only the
+returned tails are `Fraction`s; `rank` and `sparse_rank` count the
+pivot rows and build no tails.
 
 Coefficients above this kernel are exact rationals held as `int`s
 wherever they are integral, and as `Fraction`s only where a denominator
@@ -79,10 +82,20 @@ def _clear(target: dict, key, row: dict) -> None:
 def _pivot_rows(vectors) -> dict:
     """{pivot key: integer row} spanning the sparse vectors, in reduced
     echelon form: each row is positive at its pivot and zero at every
-    other pivot key."""
+    other pivot key.
+
+    Elimination runs bottom-up: the nonzero vectors are taken in
+    descending order of their least key.  A vector whose least key is
+    not yet a pivot then becomes a row whose pivot lies below every
+    pivot so far, and no stored row can hold that key (each row's keys
+    are at least its pivot), so back-substitution is skipped.  The
+    reduced form is unique, so the order changes only the cost."""
+    pending = [row for row in map(_integer_row, vectors) if row]
+    pending.sort(key=min)
     rows: dict = {}
-    for vec in vectors:
-        work = _integer_row(vec)
+    lowest = None
+    while pending:
+        work = pending.pop()
         # no row holds another pivot key, so the clearing order is immaterial
         for key in work.keys() & rows.keys():
             _clear(work, key, rows[key])
@@ -90,9 +103,12 @@ def _pivot_rows(vectors) -> dict:
             continue
         key = min(work)
         _divide_content(work, -1 if work[key] < 0 else 1)
-        for row in rows.values():
-            if key in row:
-                _clear(row, key, work)
+        if rows and key > lowest:
+            for row in rows.values():
+                if key in row:
+                    _clear(row, key, work)
+        else:
+            lowest = key
         rows[key] = work
     return rows
 

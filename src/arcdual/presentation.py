@@ -39,7 +39,7 @@ class Arrow:
     source: str
     target: str
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{self.kind}:{self.source}->{self.target}"
 

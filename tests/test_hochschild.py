@@ -348,8 +348,10 @@ def test_bar_oracle_agrees_at_critical_degree_with_raised_capacity(monkeypatch):
 
 def test_bar_oracle_agrees_below_critical_degree_with_raised_capacity(monkeypatch):
     monkeypatch.setenv(hh.BAR_CAPACITY_ENV, "421")
-    for m, n in ((3, 2), (2, 3)):
-        assert hh.hh2_bar_oracle(m, n, 4) == hh.hh2_dim(m, n, 4) == 1
+    # (3, 2) q=2 is the README table's entry 5, read here by a route
+    # with no cocycle constraint
+    for m, n, q, dim in ((3, 2, 4, 1), (2, 3, 4, 1), (3, 2, 2, 5)):
+        assert hh.hh2_bar_oracle(m, n, q) == hh.hh2_dim(m, n, q) == dim
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])

@@ -194,6 +194,36 @@ def test_echelon_fixture_non_unit_pivot():
     assert_echelon_matches_reference(vectors)
 
 
+def test_echelon_fixture_empty_zero_and_nonzero_vectors():
+    # empty and all-zero vectors are dropped before elimination, wherever
+    # they stand among the nonzero ones
+    vectors = [
+        {},
+        {"y": 2, "z": F(1, 2)},
+        {"x": F(0)},
+        {"x": 0, "y": F(0)},
+        {"x": F(1, 3), "z": 1},
+        {},
+        {"x": 1, "y": 6, "z": F(9, 2)},
+    ]
+    assert linalg.echelon(vectors) == {"x": {"z": F(3)}, "y": {"z": F(1, 4)}}
+    assert linalg.sparse_rank(vectors) == 2
+    assert_echelon_matches_reference(vectors)
+    assert linalg.echelon([{}, {"x": F(0)}, {}]) == {}
+    assert linalg.sparse_rank([{"x": 0}, {}]) == 0
+
+
+@given(st.lists(sparse_vectors, max_size=8))
+def test_sparse_rank_equals_rank_of_transpose(vectors):
+    # row rank equals column rank; this does not lean on the uniqueness
+    # of the reduced form, so it checks the elimination order on its own
+    transpose: dict = {}
+    for i, vec in enumerate(vectors):
+        for key, value in vec.items():
+            transpose.setdefault(key, {})[(i, "row")] = value
+    assert linalg.sparse_rank(vectors) == linalg.sparse_rank(transpose.values())
+
+
 @given(matrices())
 def test_rows_lie_in_own_span(rows):
     reduced, pivots = linalg.rref(rows)

@@ -82,6 +82,17 @@ def test_dual_arrow_kinds():
     assert P.dual_arrow(y).ascending
 
 
+def test_arrow_name_is_cached_and_identity_stays_on_fields():
+    a = P.Arrow("x", "vv^^", "v^v^")
+    assert a.name == "x:vv^^->v^v^" == repr(a)
+    assert a.name is a.name
+    fresh = P.Arrow("x", "vv^^", "v^v^")
+    assert a == fresh and hash(a) == hash(fresh)
+    assert {a: 1}[fresh] == 1
+    with pytest.raises(AttributeError):
+        a.kind = "y"
+
+
 def test_arrow_evaluation_fixtures():
     x = P.Arrow("x", "vv^^", "v^v^")
     dx = P.rho_of_arrow(x)
