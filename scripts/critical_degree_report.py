@@ -19,7 +19,6 @@ import sys
 from collections import OrderedDict
 
 from arcdual import hochschild as hh
-from arcdual import linalg
 
 
 def label(basis):
@@ -50,28 +49,27 @@ def report(m: int, n: int) -> None:
         for c in slots:
             print(f"      {' '.join(c.path.arrows)}")
 
-    mat = hh.coboundary_matrix(m, n, q)
+    cob = hh.coboundary_matrix(m, n, q)
     names = label(c1)
-    order = {a: i for i, a in enumerate(alphas)}
+    rows: dict = {}
+    for c, col in zip(cob.cols, cob.vectors):
+        for i, coeff in col.items():
+            rows.setdefault(cob.rows[i], []).append((c, coeff))
     print("\ncoboundary, one line per 2-cochain:")
-    for row_c, row in sorted(
-        zip(mat.rows, mat.matrix), key=lambda item: order[item[0]]
-    ):
+    for k, a in enumerate(alphas, 1):
         terms = []
-        for c, coeff in zip(mat.cols, row):
-            if coeff:
-                sign = "+" if coeff > 0 else "-"
-                mag = abs(coeff)
-                head = f"{sign} " + (f"{mag} " if mag != 1 else "")
-                terms.append(head + names[c])
+        for c, coeff in rows.get(a, ()):
+            sign = "+" if coeff > 0 else "-"
+            mag = abs(coeff)
+            head = f"{sign} " + (f"{mag} " if mag != 1 else "")
+            terms.append(head + names[c])
         line = " ".join(terms) if terms else "0"
         if line.startswith("+ "):
             line = line[2:]
-        print(f"  a{order[row_c] + 1:<2d} = {line}")
+        print(f"  a{k:<2d} = {line}")
 
-    rank = linalg.rank([list(r) for r in mat.matrix])
-    print(f"\ncoboundary rank: {rank}")
     cert = hh.hh2_certificate(m, n, q)
+    print(f"\ncoboundary rank: {cert.image_rank}")
     print(f"cohomology dimension: {cert.dimension}")
     print(f"image hyperplane normal: {cert.constraint_normal_vector}")
 

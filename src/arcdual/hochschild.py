@@ -13,16 +13,18 @@ The dimension of HH^2 in Adams degree q is
 
     dim ker(constraints) - rank(coboundary).
 
-Everything is exact over the rationals.  An independent oracle
-recomputes the same dimension from the reduced bar complex of the
-algebra on its irreducible-path basis; its elimination fills in
-steeply with the basis size, so ARCDUAL_BAR_CAPACITY guards it.
+Both matrices are held sparse, and everything is exact over the
+rationals.  An independent oracle recomputes the same dimension from
+the reduced bar complex of the algebra on its irreducible-path basis;
+its elimination fills in steeply with the basis size, so
+ARCDUAL_BAR_CAPACITY guards it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from . import rewrite as rw
@@ -94,12 +96,26 @@ def cochain1_basis(m: int, n: int, q: int) -> tuple[Cochain1, ...]:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """A labelled exact matrix: matrix[i][j] is the coefficient of column
-    label cols[j] in the row labelled rows[i]."""
+    """A labelled sparse exact matrix, rows labelled `rows` and columns
+    `cols`.  `vectors` holds its nonzero entries as read-only mappings,
+    one {column index: c} per row, or one {row index: c} per column when
+    `by_column`: the cocycle constraints are held by row and the
+    coboundary by column, one vector per 1-cochain."""
 
     rows: tuple
     cols: tuple
-    matrix: tuple
+    vectors: tuple
+    by_column: bool = False
+
+    @property
+    def matrix(self) -> tuple:
+        """The dense row-major table, rebuilt on every access and never
+        cached.  Only `perfbench/trace_op.py` reads it."""
+        if self.by_column:
+            return tuple(
+                tuple(col.get(i, 0) for col in self.vectors) for i in range(len(self.rows))
+            )
+        return tuple(tuple(row.get(j, 0) for j in range(len(self.cols))) for row in self.vectors)
 
 
 def _confluent_resolution(m: int, n: int):
@@ -126,23 +142,19 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
     for j, c in enumerate(basis):
         by_lhs.setdefault(c.lhs, []).append((j, c.path))
     rows = []
-    matrix = []
+    vectors = []
     for o_idx, events in enumerate(applications):
         acc: dict = {}
         for lhs, factor, pre, suf in events:
             for j, p in by_lhs.get(lhs, ()):
                 inserted = Path(pre.start, pre.arrows + p.arrows + suf.arrows, suf.end)
                 for t, c in _nf_terms(m, n, inserted):
-                    row = acc.get(t)
-                    if row is None:
-                        row = acc[t] = [0] * len(basis)
-                    row[j] += factor * c
+                    linalg.add_term(acc.setdefault(t, {}), j, factor * c)
         for t in sorted(acc, key=path_key):
-            row = acc[t]
-            if any(row):
+            if acc[t]:
                 rows.append((o_idx, t))
-                matrix.append(tuple(row))
-    return ConstraintSystem(tuple(rows), basis, tuple(matrix))
+                vectors.append(acc[t])
+    return ConstraintSystem(tuple(rows), basis, tuple(map(MappingProxyType, vectors)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +181,14 @@ def _insertion_slots(m: int, n: int):
 @lru_cache(maxsize=None)
 def coboundary_matrix(m: int, n: int, q: int) -> ConstraintSystem:
     """Matrix of the coboundary map from 1-cochains to 2-cochains in
-    Adams degree q, on the bases above."""
+    Adams degree q, on the bases above, held by column: the image of
+    each 1-cochain."""
     basis2 = cochain2_basis(m, n, q)
     basis1 = cochain1_basis(m, n, q)
     index2 = {(c.lhs, c.path): i for i, c in enumerate(basis2)}
-    mat = [[0] * len(basis1) for _ in basis2]
+    cols = tuple({} for _ in basis1)
     slots = _insertion_slots(m, n)
-    for j, c1 in enumerate(basis1):
+    for col, c1 in zip(cols, basis1):
         for lhs, coeff, pre, suf, start, end in slots.get(c1.arrow, ()):
             inserted = Path(start, pre + c1.path.arrows + suf, end)
             for t, c in _nf_terms(m, n, inserted):
@@ -185,8 +198,8 @@ def coboundary_matrix(m: int, n: int, q: int) -> ConstraintSystem:
                         "coboundary image leaves the cochain basis",
                         witness={"rule": lhs, "path": repr(t)},
                     )
-                mat[i][j] += coeff * c
-    return ConstraintSystem(basis2, basis1, tuple(tuple(r) for r in mat))
+                linalg.add_term(col, i, coeff * c)
+    return ConstraintSystem(basis2, basis1, tuple(map(MappingProxyType, cols)), by_column=True)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +316,9 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
     cob = coboundary_matrix(m, n, q)
     basis2 = cob.rows
     n2 = len(basis2)
-    constraint_rank = linalg.rank(cons.matrix)
-    image_rank = linalg.rank(cob.matrix)
-    columns = list(zip(*cob.matrix))
-    violation = linalg.first_nonzero_product(cons.matrix, columns)
+    constraint_rank = linalg.sparse_rank(cons.vectors)
+    image_rank = linalg.sparse_rank(cob.vectors)
+    violation = linalg.first_nonzero_product(cons.vectors, cob.vectors)
     if violation is not None:
         r_idx, j = violation
         raise CertificationError(
@@ -318,7 +330,7 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
     basis = basis2
     normal = None
     if constraint_rank == 0 and n2 and image_rank == n2 - 1:
-        null = linalg.nullspace(columns, n2)
+        null = linalg.nullspace(cob.vectors, n2)
         if len(null) == 1:
             normal = tuple(linalg.primitive_integer_vector(null[0]))
     if m >= 2 and n >= 2 and q == critical_degree(m, n):
@@ -370,11 +382,10 @@ def hh2_table(m: int, n: int):
 # cocycle extraction
 
 
-def _cochain_dict(basis, vector):
+def _cochain_dict(basis, vector: dict):
     out: dict = {}
-    for coord, value in zip(basis, vector):
-        if value:
-            out.setdefault(coord.lhs, {})[coord.path] = value
+    for j, value in vector.items():
+        out.setdefault(basis[j].lhs, {})[basis[j].path] = value
     return out
 
 
@@ -392,30 +403,23 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
         raise ValueError(f"HH^2 of ({m}, {n}) vanishes in Adams degree {q}")
     cons = cocycle_constraints(m, n, q)
     cob = coboundary_matrix(m, n, q)
-    basis = cob.rows
-    index = {c: i for i, c in enumerate(basis)}
-    reduced, pivots = linalg.rref(list(zip(*cob.matrix)))
-
     candidates = []
     if m >= 2 and n >= 2 and q == critical_degree(m, n):
-        unit = [0] * len(basis)
-        unit[index[alpha_basis(m, n)[1]]] = 1
-        candidates.append(unit)
+        candidates.append({cob.rows.index(alpha_basis(m, n)[1]): 1})
     if (m, n, q) == (2, 2, 0):
         ch = staircase_chart(2, 2)
         lhs = (ch.ybar(0).name, ch.xbar(0).name)
         detour = rw.make_path(
             reduction_system(2, 2).quiver, [ch.xbar2(3).name, ch.ybar2(3).name]
         )
-        unit = [0] * len(basis)
-        unit[index[Cochain2(lhs, detour)]] = 1
-        candidates.append(unit)
-    candidates.extend(linalg.nullspace(cons.matrix, len(basis)))
+        candidates.append({cob.rows.index(Cochain2(lhs, detour)): 1})
+    for vec in linalg.nullspace(cons.vectors, len(cob.rows)):
+        candidates.append({j: x for j, x in enumerate(vec) if x})
 
     for vec in candidates:
-        in_kernel = linalg.first_nonzero_product(cons.matrix, [vec]) is None
-        if in_kernel and not linalg.in_span(vec, reduced, pivots):
-            return _cochain_dict(basis, vec)
+        in_kernel = linalg.first_nonzero_product(cons.vectors, [vec]) is None
+        if in_kernel and linalg.sparse_rank([*cob.vectors, vec]) > cert.image_rank:
+            return _cochain_dict(cob.rows, vec)
     raise CertificationError(
         "no certified cocycle outside the coboundary image",
         witness={"m": m, "n": n, "q": q},

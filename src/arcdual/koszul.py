@@ -112,12 +112,7 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
             )
         col = {p: i for i, p in enumerate(dual_paths)}
         perm = [col[(dual_arrow(b2), dual_arrow(b1))] for (b1, b2) in b.paths]
-        permuted = []
-        for row in b.rows:
-            vec = [0] * len(dual_paths)
-            for coeff, j in zip(row, perm):
-                vec[j] = coeff
-            permuted.append(vec)
+        permuted = [{j: c for c, j in zip(row, perm) if c} for row in b.rows]
         kernel = linalg.nullspace(permuted, len(dual_paths))
         reduced, _ = linalg.rref(kernel)
         if len(reduced) + len(b.rows) != len(dual_paths):
@@ -130,7 +125,8 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
                     "dual": len(reduced),
                 },
             )
-        if linalg.first_nonzero_product(permuted, reduced) is not None:
+        dual_rows = [dict(enumerate(r)) for r in reduced]
+        if linalg.first_nonzero_product(permuted, dual_rows) is not None:
             raise CertificationError(
                 "pairing of relation spaces is not zero",
                 witness={"block": (b.target, b.source)},

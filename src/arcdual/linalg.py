@@ -6,12 +6,13 @@ the least key of its row.  That form is unique, so the result depends
 on the span of the input only, and elimination is free to take the
 vectors bottom-up, in descending order of their least key: most new
 pivots then lie below every earlier one and need no back-substitution.
-`rref`, `rank`, `nullspace` and `in_span` are thin wrappers over dense
-rows; `first_nonzero_product` checks that a matrix product vanishes
-using the nonzero entries only.  Elimination is fraction-free: vectors
-are scaled to integers once, pivot rows stay integral, and only the
-returned tails are `Fraction`s; `rank` and `sparse_rank` count the
-pivot rows and build no tails.
+`nullspace` reads sparse vectors and returns dense kernel vectors;
+`rref` and `rank` are thin wrappers over dense rows, and
+`first_nonzero_product` checks that a product of sparse vectors
+vanishes.  Elimination is fraction-free: vectors are scaled to integers
+once, pivot rows stay integral, and only the returned tails are
+`Fraction`s; `rank` and `sparse_rank` count the pivot rows and build no
+tails.
 
 Coefficients above this kernel are exact rationals held as `int`s
 wherever they are integral, and as `Fraction`s only where a denominator
@@ -159,14 +160,15 @@ def rank(rows) -> int:
     return sparse_rank(map(_sparse, rows))
 
 
-def nullspace(rows, ncols: int):
-    """Deterministic kernel basis of the linear map given by the rows.
+def nullspace(vectors, ncols: int):
+    """Deterministic kernel basis of the linear map whose rows are the
+    sparse vectors, keyed by column index in range(ncols).
 
-    One basis vector per free column, carrying 1 there; vectors are
-    ordered by their free column.
+    One dense Fraction basis vector per free column, carrying 1 there;
+    vectors are ordered by their free column.
     """
-    assert all(len(row) == ncols for row in rows)
-    basis = echelon(map(_sparse, rows))
+    basis = echelon(vectors)
+    assert all(0 <= k < ncols for p, tail in basis.items() for k in (p, *tail))
     kernel = {}
     for free in range(ncols):
         if free not in basis:
@@ -178,19 +180,22 @@ def nullspace(rows, ncols: int):
     return list(kernel.values())
 
 
-def in_span(vec, reduced, pivots) -> bool:
-    """Whether vec lies in the span of the rows of an rref result."""
-    return rank([*reduced, vec]) == len(pivots)
-
-
 def first_nonzero_product(rows, cols):
-    """First (i, j), columns scanned first, with rows[i] . cols[j]
-    nonzero, or None.  Vectors are dense and of one length."""
-    sparse_rows = [_sparse(row) for row in rows]
-    for j, col in enumerate(map(_sparse, cols)):
-        for i, row in enumerate(sparse_rows):
-            if sum(row[k] * col[k] for k in row.keys() & col.keys()):
-                return i, j
+    """First (i, j), columns scanned first and then the least i, with
+    rows[i] . cols[j] nonzero, or None.  Rows and columns are sparse
+    vectors; the rows are indexed by key once and each column is
+    accumulated through that index."""
+    by_key: dict = {}
+    for i, row in enumerate(rows):
+        for k, x in row.items():
+            by_key.setdefault(k, []).append((i, x))
+    for j, col in enumerate(cols):
+        products: dict = {}
+        for k, y in col.items():
+            for i, x in by_key.get(k, ()):
+                add_term(products, i, x * y)
+        if products:
+            return min(products), j
     return None
 
 

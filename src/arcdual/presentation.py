@@ -226,16 +226,11 @@ def _monomial_shape(path) -> bool:
 def _kernel_rows(paths):
     """Exact kernel of path evaluation on a block, over the given path
     coordinates."""
-    images = [rho_of_path(p) for p in paths]
-    diagrams = sorted(
-        {d for img in images for d in img}, key=alg.diagram_sort_key
-    )
-    index = {d: i for i, d in enumerate(diagrams)}
-    matrix = [[0] * len(paths) for _ in diagrams]
-    for col, img in enumerate(images):
-        for d, coeff in img.items():
-            matrix[index[d]][col] = coeff
-    return linalg.nullspace(matrix, len(paths))
+    rows: dict = {}
+    for col, p in enumerate(paths):
+        for d, coeff in rho_of_path(p).items():
+            rows.setdefault(d, {})[col] = coeff
+    return linalg.nullspace(rows.values(), len(paths))
 
 
 def _structural_rows(quiver: Quiver, source: str, target: str, paths):

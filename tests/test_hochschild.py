@@ -177,19 +177,19 @@ def test_coboundary_22_expressions():
     for k in range(1, 12):
         expected = COBOUNDARY_22[k]
         for name, j in cols.items():
-            assert mat.matrix[rows[k]][j] == F(expected.get(name, 0)), (k, name)
+            assert mat.vectors[j].get(rows[k], 0) == F(expected.get(name, 0)), (k, name)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_coboundary_rank_ten_in_critical_degree(m, n):
     mat = hh.coboundary_matrix(m, n, 2 * m * n - 6)
-    assert linalg.rank([list(r) for r in mat.matrix]) == 10
+    assert linalg.sparse_rank(mat.vectors) == 10
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_constraints_vacuous_in_critical_degree(m, n):
     cons = hh.cocycle_constraints(m, n, 2 * m * n - 6)
-    assert cons.matrix == ()
+    assert cons.vectors == ()
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +204,23 @@ def test_constraints_vacuous_in_critical_degree(m, n):
 def test_coboundary_satisfies_constraints_22_degree_zero(vec):
     mat = hh.coboundary_matrix(2, 2, 0)
     cons = hh.cocycle_constraints(2, 2, 0)
-    assert len(cons.matrix) > 0
-    image = [
-        sum(row[j] * v for j, v in enumerate(vec)) for row in mat.matrix
-    ]
-    for crow in cons.matrix:
-        assert sum(c * x for c, x in zip(crow, image)) == 0
+    assert len(cons.vectors) > 0
+    image: dict = {}
+    for col, v in zip(mat.vectors, vec):
+        for i, c in col.items():
+            linalg.add_term(image, i, c * v)
+    for crow in cons.vectors:
+        assert sum(c * image.get(k, 0) for k, c in crow.items()) == 0
 
 
 @pytest.mark.parametrize("m,n,q", [(3, 2, 2), (3, 2, 4)])
 def test_coboundary_satisfies_constraints_larger(m, n, q):
     mat = hh.coboundary_matrix(m, n, q)
     cons = hh.cocycle_constraints(m, n, q)
-    assert len(cons.matrix) > 0
-    for j in range(len(mat.cols)):
-        image = [row[j] for row in mat.matrix]
-        for crow in cons.matrix:
-            assert sum(c * x for c, x in zip(crow, image)) == 0
+    assert len(cons.vectors) > 0
+    for image in mat.vectors:
+        for crow in cons.vectors:
+            assert sum(c * image.get(k, 0) for k, c in crow.items()) == 0
 
 
 def test_certificate_rejects_coboundary_outside_the_kernel(monkeypatch):
@@ -228,14 +228,48 @@ def test_certificate_rejects_coboundary_outside_the_kernel(monkeypatch):
     # reads, so the first coboundary column leaves the kernel
     cons = hh.cocycle_constraints(2, 2, 0)
     cob = hh.coboundary_matrix(2, 2, 0)
-    k = next(i for i, x in enumerate(cons.matrix[0]) if x)
-    rows = [list(r) for r in cob.matrix]
-    rows[k][0] += 1
-    corrupted = hh.ConstraintSystem(cob.rows, cob.cols, tuple(map(tuple, rows)))
+    k = min(cons.vectors[0])
+    column = dict(cob.vectors[0])
+    linalg.add_term(column, k, 1)
+    corrupted = hh.ConstraintSystem(
+        cob.rows, cob.cols, (column, *cob.vectors[1:]), by_column=True
+    )
     monkeypatch.setattr(hh, "coboundary_matrix", lambda m, n, q: corrupted)
     with pytest.raises(CertificationError, match="violates a cocycle constraint") as exc:
         hh.hh2_certificate.__wrapped__(2, 2, 0)
     assert exc.value.witness == {"cochain": cob.cols[0], "row": cons.rows[0]}
+
+
+def test_certificate_witness_is_least_column_then_least_row(monkeypatch):
+    # column 1 is bumped on a key of the first constraint row, column 0 on
+    # a key that constraint row 0 does not read but several later rows do:
+    # the witness is column 0 and the least row it violates, not row 0
+    cons = hh.cocycle_constraints(2, 2, 0)
+    cob = hh.coboundary_matrix(2, 2, 0)
+    readers: dict = {}
+    for i, row in enumerate(cons.vectors):
+        for k in row:
+            readers.setdefault(k, []).append(i)
+    k0 = min(cons.vectors[0])
+    k1 = min(k for k, rows in readers.items() if 0 not in rows and len(rows) >= 2)
+    columns = [dict(col) for col in cob.vectors]
+    linalg.add_term(columns[0], k1, 1)
+    linalg.add_term(columns[1], k0, 1)
+    violated = [
+        (j, i)
+        for j, col in enumerate(columns)
+        for i, row in enumerate(cons.vectors)
+        if sum(c * col.get(k, 0) for k, c in row.items())
+    ]
+    assert {j for j, _ in violated} == {0, 1}
+    assert min(i for _, i in violated) == 0 < min(violated)[1]
+    corrupted = hh.ConstraintSystem(cob.rows, cob.cols, tuple(columns), by_column=True)
+    monkeypatch.setattr(hh, "coboundary_matrix", lambda m, n, q: corrupted)
+    with pytest.raises(CertificationError, match="violates a cocycle constraint") as exc:
+        hh.hh2_certificate.__wrapped__(2, 2, 0)
+    j, i = min(violated)
+    assert (j, i) == (0, readers[k1][0])
+    assert exc.value.witness == {"cochain": cob.cols[j], "row": cons.rows[i]}
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +442,79 @@ def test_extract_cocycle_22_degree_zero():
     assert c == {(A["y11"], A["x11"]): {path("x2", "y2"): F(1)}}
 
 
+# the generic branch of extract_cocycle: the first kernel vector outside
+# the coboundary image, as (lhs, path, coefficient) in cochain order
+GENERIC_COCYCLES = {
+    (3, 2, 0): [
+        (
+            "xbar:^v^vv->^vv^v xbar:^vv^v->v^v^v",
+            "xbar:^v^vv->v^^vv xbar:v^^vv->v^v^v",
+            -1,
+        ),
+        (
+            "ybar:^vv^v->^v^vv xbar:^v^vv->v^^vv",
+            "xbar:^vv^v->v^v^v ybar:v^v^v->v^^vv",
+            1,
+        ),
+        (
+            "ybar:v^^vv->^v^vv xbar:^v^vv->v^^vv",
+            "xbar:v^^vv->v^v^v ybar:v^v^v->v^^vv",
+            -1,
+        ),
+        (
+            "ybar:v^^vv->^v^vv xbar:^v^vv->vv^^v",
+            "xbar:v^^vv->v^v^v xbar:v^v^v->vv^^v",
+            -1,
+        ),
+        (
+            "ybar:v^v^v->^vv^v xbar:^vv^v->v^v^v",
+            "xbar:v^v^v->v^vv^ ybar:v^vv^->v^v^v",
+            1,
+        ),
+    ],
+    (2, 3, 2): [
+        (
+            "xbar:^^^vv->^^v^v xbar:^^v^v->^vv^^",
+            "xbar:^^^vv->^^v^v xbar:^^v^v->^v^^v xbar:^v^^v->^v^v^ xbar:^v^v^->^vv^^",
+            1,
+        ),
+        (
+            "ybar:^^v^v->^^^vv xbar:^^^vv->^^v^v",
+            "xbar:^^v^v->^v^^v xbar:^v^^v->^v^v^ xbar:^v^v^->^vv^^ ybar:^vv^^->^^v^v",
+            -1,
+        ),
+        (
+            "ybar:^^v^v->^^^vv xbar:^^^vv->^^v^v",
+            "xbar:^^v^v->^vv^^ xbar:^vv^^->v^v^^ ybar:v^v^^->^vv^^ ybar:^vv^^->^^v^v",
+            1,
+        ),
+    ],
+    (3, 2, 4): [
+        (
+            "xbar:^^vvv->^v^vv xbar:^v^vv->vv^^v",
+            "xbar:^^vvv->^v^vv xbar:^v^vv->v^^vv xbar:v^^vv->v^v^v xbar:v^v^v->vv^^v xbar:vv^^v->vv^v^ ybar:vv^v^->vv^^v",
+            1,
+        ),
+        (
+            "xbar:^v^vv->^vv^v xbar:^vv^v->v^v^v",
+            "xbar:^v^vv->v^^vv xbar:v^^vv->v^v^v xbar:v^v^v->vv^^v xbar:vv^^v->vv^v^ xbar:vv^v^->vvv^^ ybar:vvv^^->v^v^v",
+            1,
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("m,n,q", sorted(GENERIC_COCYCLES))
+def test_extract_cocycle_generic_branch(m, n, q):
+    c = hh.extract_cocycle(m, n, q)
+    terms = [
+        (" ".join(lhs), " ".join(p.arrows), coeff)
+        for lhs, values in c.items()
+        for p, coeff in values.items()
+    ]
+    assert terms == GENERIC_COCYCLES[(m, n, q)]
+
+
 def test_extract_cocycle_vanishing_degree():
     with pytest.raises(ValueError):
         hh.extract_cocycle(2, 2, 4)
@@ -450,7 +557,7 @@ def test_deformation_of_a_non_cocycle_fails_the_diamond():
     # a single psi that violates the overlap conditions at (2, 2, 0)
     cons = hh.cocycle_constraints(2, 2, 0)
     for j, c in enumerate(cons.cols):
-        if any(row[j] for row in cons.matrix):
+        if any(j in row for row in cons.vectors):
             bad = {c.lhs: {c.path: F(1)}}
             with pytest.raises(CertificationError):
                 hh.deformed_algebra(2, 2, bad)
@@ -464,10 +571,10 @@ def test_diamond_fails_exactly_on_constrained_cochains(m, n, q):
     base = reduction_system(m, n)
     cons = hh.cocycle_constraints(m, n, q)
     for j, c in enumerate(cons.cols):
-        constrained = any(row[j] for row in cons.matrix)
+        constrained = any(j in row for row in cons.vectors)
         report = rw.check_diamond(base.with_deformation({c.lhs: {c.path: F(1)}}))
         assert report.ok == (not constrained), c
-    kernel = linalg.nullspace(cons.matrix, len(cons.cols))
+    kernel = linalg.nullspace(cons.vectors, len(cons.cols))
     vector = next(v for v in kernel if sum(1 for x in v if x) >= 2)
     assignment: dict = {}
     for c, x in zip(cons.cols, vector):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,6 +13,11 @@ F = Fraction
 
 def mat(rows):
     return [[F(x) for x in row] for row in rows]
+
+
+def sparse(rows):
+    """Dense rows as sparse vectors keyed by column index."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 entries = st.builds(
@@ -50,7 +56,7 @@ def test_rref_empty():
 
 
 def test_nullspace_fixture():
-    basis = linalg.nullspace(mat([[1, 1, 0], [0, 0, 1]]), 3)
+    basis = linalg.nullspace(sparse(mat([[1, 1, 0], [0, 0, 1]])), 3)
     assert basis == [mat([[-1, 1, 0]])[0]]
 
 
@@ -63,10 +69,15 @@ def test_nullspace_of_no_rows_is_full():
     ]
 
 
+def test_nullspace_rejects_keys_outside_the_columns():
+    with pytest.raises(AssertionError):
+        linalg.nullspace([{3: 1}], 3)
+
+
 @given(matrices())
 def test_nullspace_vectors_are_killed(rows):
     ncols = len(rows[0]) if rows else 3
-    for vec in linalg.nullspace(rows, ncols):
+    for vec in linalg.nullspace(sparse(rows), ncols):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -74,7 +85,7 @@ def test_nullspace_vectors_are_killed(rows):
 @given(matrices())
 def test_rank_nullity(rows):
     ncols = len(rows[0]) if rows else 3
-    assert linalg.rank(rows) + len(linalg.nullspace(rows, ncols)) == ncols
+    assert linalg.rank(rows) + len(linalg.nullspace(sparse(rows), ncols)) == ncols
 
 
 @given(matrices())
@@ -104,11 +115,8 @@ def test_rref_characterisation(rows):
 
 @given(matrices().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
 def test_echelon_ignores_vector_order(pair):
-    def as_dicts(rows):
-        return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
     rows, shuffled = pair
-    assert linalg.echelon(as_dicts(shuffled)) == linalg.echelon(as_dicts(rows))
+    assert linalg.echelon(sparse(shuffled)) == linalg.echelon(sparse(rows))
 
 
 def test_echelon_fixture_labelled_keys():
@@ -226,14 +234,15 @@ def test_sparse_rank_equals_rank_of_transpose(vectors):
 
 @given(matrices())
 def test_rows_lie_in_own_span(rows):
+    # membership: adding a vector in the span does not raise the rank
     reduced, pivots = linalg.rref(rows)
-    for row in rows:
-        assert linalg.in_span(row, reduced, pivots)
+    for row in sparse(rows):
+        assert linalg.sparse_rank([*sparse(reduced), row]) == len(pivots)
 
 
 def test_first_nonzero_product_fixture():
-    rows = mat([[1, 0, 1], [0, 1, 0]])
-    cols = mat([[1, 0, -1], [0, 0, 1], [0, 3, 0]])
+    rows = sparse(mat([[1, 0, 1], [0, 1, 0]]))
+    cols = sparse(mat([[1, 0, -1], [0, 0, 1], [0, 3, 0]]))
     assert linalg.first_nonzero_product(rows, cols) == (0, 1)
     assert linalg.first_nonzero_product(rows, cols[:1]) is None
     assert linalg.first_nonzero_product(rows, cols[2:]) == (1, 0)
@@ -255,12 +264,12 @@ def test_first_nonzero_product_matches_dense(rows, data):
         ),
         None,
     )
-    assert linalg.first_nonzero_product(rows, cols) == dense
+    assert linalg.first_nonzero_product(sparse(rows), sparse(cols)) == dense
 
 
-def test_in_span_negative():
+def test_span_membership_negative():
     reduced, pivots = linalg.rref(mat([[1, 1, 0]]))
-    assert not linalg.in_span(mat([[0, 0, 1]])[0], reduced, pivots)
+    assert linalg.sparse_rank([*sparse(reduced), {2: F(1)}]) > len(pivots)
 
 
 def test_primitive_integer_vector_fixtures():

@@ -1,4 +1,8 @@
-"""Smoke tests: the scripts in scripts/ run end to end at (2, 2)."""
+"""Smoke tests: the scripts in scripts/ run end to end at (2, 2).
+
+The critical-degree report's full stdout is pinned in
+`tests/golden/script-critical-degree-report-2-2.out`.
+"""
 
 import os
 import subprocess
@@ -6,6 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_script(name, *args):
@@ -20,17 +25,19 @@ def run_script(name, *args):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    return done.stdout
 
 
 def test_critical_degree_report_22():
-    lines = run_script("critical_degree_report.py", "2", "2")
+    out = run_script("critical_degree_report.py", "2", "2")
+    lines = out.splitlines()
     assert "coboundary rank: 10" in lines
     assert "cohomology dimension: 1" in lines
+    assert out == (GOLDEN / "script-critical-degree-report-2-2.out").read_text(encoding="utf-8")
 
 
 def test_deformation_demo_22():
-    lines = run_script("deformation_demo.py", "2", "2")
+    lines = run_script("deformation_demo.py", "2", "2").splitlines()
     assert sum(1 for line in lines if line.startswith(" * ")) == 1
     assert (
         "higher product on the dual side: m_4(y21 ⊗ y22 ⊗ y32 ⊗ x2) = x11 y11"
