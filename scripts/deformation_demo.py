@@ -23,7 +23,10 @@ def main() -> int:
     parser.add_argument("--adams", type=int, default=None)
     args = parser.parse_args()
     m, n = args.m, args.n
-    q = args.adams if args.adams is not None else hh.critical_degree(m, n)
+    try:
+        q = args.adams if args.adams is not None else hh.critical_degree(m, n)
+    except ValueError as exc:
+        parser.error(f"{exc}; pass --adams")
 
     dim = hh.hh2_dim(m, n, q)
     print(f"HH^2 of ({m}, {n}) in Adams degree {q}: dimension {dim}")

@@ -151,9 +151,19 @@ def cmd_reduction_system(args) -> int:
     return 0
 
 
+def _json_number(text: str) -> Fraction:
+    """A JSON decimal read exactly, so 0.1 is 1/10 and not the nearest
+    float.  A magnitude that binary64 rounds to infinity has no
+    interoperable value (RFC 8259, section 6) and is refused."""
+    value = Fraction(text)
+    if abs(value) >= 2**1024 - 2**970:
+        raise ValueError(f"JSON number {text} is outside the binary64 range")
+    return value
+
+
 def _load_deformation(path_name: str, quiver):
     with open(path_name, encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, parse_float=_json_number)
     assignment = {}
     for entry in data:
         lc: dict = {}

@@ -368,8 +368,13 @@ def adams_degrees(m: int, n: int) -> range:
 
 
 def critical_degree(m: int, n: int) -> int:
-    """The Adams degree 2mn - 6 of the distinguished HH^2 class
-    (defined for m, n >= 2)."""
+    """The Adams degree 2mn - 6 of the distinguished HH^2 class.
+    ValueError unless m, n >= 2, where the class is defined."""
+    if m < 2 or n < 2:
+        raise ValueError(
+            f"no distinguished HH^2 class for ({m}, {n}): it needs m, n >= 2, "
+            "and for min(m, n) <= 1 HH^2 vanishes in Stroppel's range"
+        )
     return 2 * m * n - 6
 
 
@@ -594,18 +599,21 @@ def bar_capacity() -> int:
 
 @lru_cache(maxsize=None)
 def _bar_data(m: int, n: int):
-    """The bar oracle's basis and multiplication table.
+    """The bar oracle's basis and multiplication table, on integers.
 
-    Returns the positive-length irreducible paths `pos` in `path_key`
-    order, grouped by start and by end; the position of every basis
-    path (length zero included) in `path_key` order, which the oracle
-    uses as its column keys; the table `product[u, v]` of sorted
-    normal-form terms for every composable pair of positive paths;
-    the pairs in (u, v) `path_key` order; and the reverse index from
-    a basis path to the products containing it.
+    A basis path, length zero included, is named by its index in
+    `paths`, the basis in `path_key` order.  Returns `paths`; the
+    positive indices `pos`, also grouped by start vertex; the buckets
+    of `irreducible_basis` as index tuples; `product[u, v]`, the terms
+    (t, c) sorted by t of each nonzero product of positive paths (a
+    zero product has no entry); per index w, `left[w]` and `right[w]`,
+    the pairs (a, product[a, w]) and (c, product[w, c]) with an entry,
+    in index order, or a·e = a and e·c = c for a length-zero e; and
+    `containing[t]`, the (u, v, c) with c·t in product[u, v], in (u, v)
+    order.
 
-    The table is built one arrow at a time.  Taking v in `path_key`
-    order, the prefix v' of v = v'·a is done before v, and
+    The table is built one arrow at a time.  Taking v in index order,
+    the prefix v' of v = v'·a is done before v, and
 
         NF(u·v'·a) = NF(NF(u·v')·a) = sum of c·product[t, a]
 
@@ -613,39 +621,46 @@ def _bar_data(m: int, n: int):
     because the system is confluent (Bergman's diamond lemma, which
     `certify_dual_system` certifies): u·v' - NF(u·v') lies in the
     ideal of the relations, so does its product with a, and the normal
-    form vanishes on that ideal.  Only the products with an arrow are
-    rewritten from scratch.
+    form vanishes on that ideal.  So only the u in left[v'] can give a
+    nonzero u·v, and only the products with an arrow are rewritten
+    from scratch.
     """
     basis = irreducible_basis(m, n)
     paths = sorted((p for bucket in basis.values() for p in bucket), key=path_key)
     index = {p: i for i, p in enumerate(paths)}
-    pos = [p for p in paths if p.arrows]
+    buckets = {key: tuple(index[p] for p in bucket) for key, bucket in basis.items()}
+    pos = [i for i, p in enumerate(paths) if p.arrows]
     by_start: dict = {}
     by_end: dict = {}
-    for p in pos:
-        by_start.setdefault(p.start, []).append(p)
-        by_end.setdefault(p.end, []).append(p)
-    arrows = {p.arrows[0]: p for p in pos if len(p) == 1}
+    for i in pos:
+        by_start.setdefault(paths[i].start, []).append(i)
+        by_end.setdefault(paths[i].end, []).append(i)
+    left = [[] if p.arrows else [(a, ((a, 1),)) for a in by_end.get(p.start, ())] for p in paths]
+    right = [[] if p.arrows else [(c, ((c, 1),)) for c in by_start.get(p.end, ())] for p in paths]
+    arrows = {paths[i].arrows[0]: i for i in pos if len(paths[i]) == 1}
     product: dict = {}
     for v in pos:
-        if len(v) == 1:
-            for u in by_end.get(v.start, ()):
-                product[u, v] = _nf_terms(m, n, rw.compose(u, v))
-            continue
-        a = arrows[v.arrows[-1]]
-        prefix = Path(v.start, v.arrows[:-1], a.start)
-        for u in by_end.get(v.start, ()):
-            acc: dict = {}
-            for t, c in product[u, prefix]:
-                for s, g in product[t, a]:
-                    rw.add_term(acc, s, c * g)
-            product[u, v] = rw.sorted_terms(acc)
-    pairs = [(u, v) for u in pos for v in by_start.get(u.end, ())]
-    containing: dict = {}
-    for u, v in pairs:
-        for w, c in product[u, v]:
-            containing.setdefault(w, []).append((u, v, c))
-    return pos, by_start, by_end, index, product, tuple(pairs), containing
+        p = paths[v]
+        a = arrows[p.arrows[-1]]
+        for u, terms in left[index[Path(p.start, p.arrows[:-1], paths[a].start)]]:
+            if v == a:
+                terms = tuple((index[t], c) for t, c in _nf_terms(m, n, rw.compose(paths[u], p)))
+            else:
+                acc: dict = {}
+                for t, c in terms:
+                    for s, g in product.get((t, a), ()):
+                        rw.add_term(acc, s, c * g)
+                terms = tuple(sorted(acc.items()))
+            if terms:
+                product[u, v] = terms
+                left[v].append((u, terms))
+                right[u].append((v, terms))
+    containing: list = [[] for _ in paths]
+    for u in pos:
+        for v, terms in right[u]:
+            for t, c in terms:
+                containing[t].append((u, v, c))
+    return paths, pos, by_start, buckets, product, left, right, containing
 
 
 def hh2_bar_oracle(m: int, n: int, q: int) -> int:
@@ -659,14 +674,13 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     tensor `word` of k positive basis paths to w has as coboundary
     a * w, then (-1)^(i+1) g w at each (a, b) that replaces the i-th
     path (from 0) when that path has coefficient g in a * b, then
-    (-1)^(k+1) w * c.  A column is keyed by tuples of basis-path
-    indices in `path_key` order, so keys compare as the paths do and
-    hash as plain integers.  The cost is building the columns and
-    eliminating them, both steep in the number of positive basis paths,
-    so the computation refuses to start above `bar_capacity()`: the
-    ARCDUAL_BAR_CAPACITY variable, else 200.  The product table is
-    sound only for a confluent system, so CertificationError if the
-    diamond check fails.
+    (-1)^(k+1) w * c, visiting the nonzero products only.  Paths are
+    `_bar_data` indices, and a column is keyed by tuples of them.  The
+    cost is building the columns and eliminating them, both steep in
+    the number of positive basis paths, so the computation refuses to
+    start above `bar_capacity()`: the ARCDUAL_BAR_CAPACITY variable,
+    else 200.  The product table is sound only for a confluent system,
+    so CertificationError if the diamond check fails.
     """
     limit = bar_capacity()
     basis = irreducible_basis(m, n)
@@ -677,42 +691,33 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
             f"capacity is {limit}"
         )
     _confluent_resolution(m, n)
-    pos, by_start, by_end, index, product, pairs, containing = _bar_data(m, n)
-
-    def times(x, y):
-        """The terms of x·y for basis paths x and y, one of them positive."""
-        if not x.arrows:
-            return ((y, 1),)
-        if not y.arrows:
-            return ((x, 1),)
-        return product[x, y]
+    paths, pos, by_start, buckets, _, left, right, containing = _bar_data(m, n)
 
     def column(word, w):
-        keys = tuple(index[x] for x in word)
-        kw = index[w]
         col: dict = {}
-        for a in by_end.get(word[0].start, ()):
-            ka = index[a]
-            for t, c in times(a, w):
-                rw.add_term(col, (ka, *keys, index[t]), c)
+        for a, terms in left[w]:
+            for t, c in terms:
+                rw.add_term(col, (a, *word, t), c)
         for i, x in enumerate(word):
             sign = (-1) ** (i + 1)
-            for a, b, g in containing.get(x, ()):
-                key = keys[:i] + (index[a], index[b]) + keys[i + 1 :] + (kw,)
-                rw.add_term(col, key, sign * g)
+            for a, b, g in containing[x]:
+                rw.add_term(col, word[:i] + (a, b) + word[i + 1 :] + (w,), sign * g)
         sign = (-1) ** (len(word) + 1)
-        for c_ in by_start.get(word[-1].end, ()):
-            kc = index[c_]
-            for t, c in times(w, c_):
-                rw.add_term(col, (*keys, kc, index[t]), sign * c)
+        for c_, terms in right[w]:
+            for t, c in terms:
+                rw.add_term(col, (*word, c_, t), sign * c)
         return col
+
+    size = [len(p.arrows) for p in paths]
+
+    def parallel(u, v, length):
+        return buckets.get((paths[u].start, paths[v].end, length + q), ())
 
     cols2 = [
         column((u, v), w)
-        for u, v in pairs
-        for w in basis.get((u.start, v.end, len(u) + len(v) + q), ())
+        for u in pos
+        for v in by_start.get(paths[u].end, ())
+        for w in parallel(u, v, size[u] + size[v])
     ]
-    cols1 = [
-        column((u,), w) for u in pos for w in basis.get((u.start, u.end, len(u) + q), ())
-    ]
+    cols1 = [column((u,), w) for u in pos for w in parallel(u, u, size[u])]
     return len(cols2) - linalg.sparse_rank(cols2) - linalg.sparse_rank(cols1)

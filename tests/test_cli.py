@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -248,6 +249,25 @@ def test_deform_scaled(capsys):
     assert data["alpha2"] == "2/3"
     deformed = [r for r in data["rules"] if r["rhs_t"]]
     assert deformed[0]["rhs_t"][0]["coeff"] == "2/3"
+
+
+@pytest.mark.parametrize("m, n", [("1", "2"), ("2", "1"), ("1", "1")])
+def test_deform_needs_a_critical_degree(capsys, m, n):
+    # below m, n >= 2 there is no distinguished class to deform along
+    code, out, err = run(capsys, "deform", m, n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no distinguished HH^2 class")
+
+
+def test_deformation_file_decimals_are_exact(tmp_path):
+    quiver = koszul.reduction_system(2, 2).quiver
+    f = tmp_path / "cocycle.json"
+    # the coefficient is the JSON number 0.1, not the string "0.1"
+    f.write_text(json.dumps(_cocycle_22("0.1")).replace('"0.1"', "0.1"), encoding="utf-8")
+    ((lhs, terms),) = cli._load_deformation(str(f), quiver).items()
+    assert lhs == tuple(_cocycle_22()[0]["lhs"])
+    assert list(terms.values()) == [Fraction(1, 10)]
 
 
 def test_deform_rejects_bad_scale(capsys):

@@ -1,9 +1,11 @@
 """Exactness guard: no library module introduces a float.
 
 Every number arcdual prints is an integer or a Fraction.  This parses
-each module under src/arcdual and rejects the three ways a float gets
-in: a float literal, a float(...) call and true division `/`, which
-turns two ints into a float.  Floor division `//` stays allowed.
+each module under src/arcdual and rejects the four ways a float gets
+in: a float literal, a float(...) call, true division `/`, which turns
+two ints into a float, and a json.load or json.loads call without
+`parse_float`, which reads a JSON decimal such as 0.1 as a float.
+Floor division `//` stays allowed.
 """
 
 import ast
@@ -16,7 +18,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def float_sites(source: str) -> list[tuple[int, str]]:
-    """(line, kind) of every float literal, float() call and true division."""
+    """(line, kind) of every float literal, float() call, true division
+    and json load without parse_float."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
@@ -31,6 +34,15 @@ def float_sites(source: str) -> list[tuple[int, str]]:
             node.op, ast.Div
         ):
             sites.append((node.lineno, "true division"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and node.func.attr in ("load", "loads")
+            and all(k.arg != "parse_float" for k in node.keywords)
+        ):
+            sites.append((node.lineno, "json float parse"))
     return sorted(sites)
 
 
@@ -43,6 +55,16 @@ def test_float_sites_finds_each_kind():
         (4, "true division"),
         (6, "float literal"),
     ]
+
+
+def test_float_sites_finds_json_loads_without_parse_float():
+    source = (
+        "a = json.load(h)\n"
+        "b = json.loads(s)\n"
+        "c = json.loads(s, parse_float=Fraction)\n"
+        "d = json.dumps(a)\n"
+    )
+    assert float_sites(source) == [(1, "json float parse"), (2, "json float parse")]
 
 
 def test_every_module_is_scanned():

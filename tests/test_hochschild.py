@@ -16,7 +16,7 @@ from arcdual import hochschild as hh
 from arcdual import linalg
 from arcdual import rewrite as rw
 from arcdual.errors import CapacityError, CertificationError
-from arcdual.koszul import reduction_system
+from arcdual.koszul import irreducible_basis, reduction_system
 from test_rewrite import A, path
 
 F = Fraction
@@ -357,6 +357,14 @@ def test_hh2_table_22():
     assert hh.hh2_table(2, 2) == tuple(sorted(TABLE_22.items()))
 
 
+def test_critical_degree():
+    assert [hh.critical_degree(m, n) for m, n in ((2, 2), (3, 2), (2, 3), (4, 3))] == [2, 6, 6, 18]
+    # no distinguished class below m, n >= 2, so no degree either
+    for m, n in ((1, 1), (1, 2), (2, 1), (0, 3)):
+        with pytest.raises(ValueError, match="needs m, n >= 2"):
+            hh.critical_degree(m, n)
+
+
 # ---------------------------------------------------------------------------
 # independent oracle: the normalized bar complex
 
@@ -383,30 +391,44 @@ def test_bar_oracle_agrees_at_critical_degree_with_raised_capacity(monkeypatch):
 def test_bar_oracle_agrees_below_critical_degree_with_raised_capacity(monkeypatch):
     monkeypatch.setenv(hh.BAR_CAPACITY_ENV, "421")
     # (3, 2) q=2 is the README table's entry 5, read here by a route
-    # with no cocycle constraint
-    for m, n, q, dim in ((3, 2, 4, 1), (2, 3, 4, 1), (3, 2, 2, 5)):
+    # with no cocycle constraint, and (2, 3) q=2 is its transpose
+    for m, n, q, dim in ((3, 2, 4, 1), (2, 3, 4, 1), (3, 2, 2, 5), (2, 3, 2, 5)):
         assert hh.hh2_bar_oracle(m, n, q) == hh.hh2_dim(m, n, q) == dim
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])
 def test_bar_product_table_is_the_normal_form(m, n):
     # the table is built one arrow at a time, which is sound only in a
-    # confluent system; every entry must equal a normal form from scratch
+    # confluent system, and keeps the nonzero products only: a pair of
+    # positive paths has an entry exactly when its normal form from
+    # scratch is nonzero, and then the entry is that normal form
     system = reduction_system(m, n)
-    pos, by_start, _, _, product, pairs, _ = hh._bar_data(m, n)
-    assert pairs == tuple((u, v) for u in pos for v in by_start.get(u.end, ()))
-    assert set(product) == set(pairs)
-    for u, v in pairs:
-        assert product[u, v] == rw.sorted_terms(rw.normal_form(rw.compose(u, v), system))
+    paths, pos, _, _, product, left, right, _ = hh._bar_data(m, n)
+    basis = irreducible_basis(m, n)
+    assert paths == sorted((p for b in basis.values() for p in b), key=rw.path_key)
+    assert pos == [i for i, p in enumerate(paths) if p.arrows]
+    index = {p: i for i, p in enumerate(paths)}
+    composable = [(u, v) for u in pos for v in pos if paths[u].end == paths[v].start]
+    assert set(product) <= set(composable)
+    for u, v in composable:
+        nf = rw.sorted_terms(rw.normal_form(rw.compose(paths[u], paths[v]), system))
+        terms = tuple((index[t], c) for t, c in nf)
+        assert ((u, v) in product) == bool(terms), (paths[u], paths[v])
+        if terms:
+            assert product[u, v] == terms
+    # the neighbour lists are the table read by row and by column
+    for w in pos:
+        assert left[w] == [(u, product[u, w]) for u in pos if (u, w) in product]
+        assert right[w] == [(v, product[w, v]) for v in pos if (w, v) in product]
 
 
 def test_bar_product_table_rewrites_arrow_products_only():
     hh._bar_data.cache_clear()
     hh._nf_terms.cache_clear()
-    pos = hh._bar_data(3, 2)[0]
+    paths, pos = hh._bar_data(3, 2)[:2]
     quiver = reduction_system(3, 2).quiver
-    arrow_products = sum(len(quiver.out[p.end]) for p in pos)
-    assert hh._nf_terms.cache_info().currsize <= arrow_products
+    arrow_products = sum(len(quiver.out[paths[i].end]) for i in pos)
+    assert 0 < hh._nf_terms.cache_info().currsize <= arrow_products
 
 
 def test_bar_oracle_capacity(monkeypatch):

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
@@ -24,7 +24,8 @@ def run_script(name, *args):
         env=env,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
     return done.stdout
 
 
@@ -43,3 +44,10 @@ def test_deformation_demo_22():
         "higher product on the dual side: m_4(y21 ⊗ y22 ⊗ y32 ⊗ x2) = x11 y11"
         in lines
     )
+
+
+def test_deformation_demo_needs_adams_below_22():
+    # (1, 2) has no critical degree: a usage error, not a traceback
+    assert run_script("deformation_demo.py", "1", "2", code=2) == ""
+    out = run_script("deformation_demo.py", "1", "2", "--adams", "0")
+    assert out.splitlines()[-1] == "nothing to deform in this degree"
