@@ -36,9 +36,9 @@ are resolved; a property test exercises random admissible orders.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import combinatorics as comb
 from .combinatorics import DOWN, UP, cup_matching
@@ -53,8 +53,7 @@ class InvalidDiagram(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class ArcDiagram(NamedTuple):
     """Cup diagram of cup_weight, glued to the cap diagram of cap_weight
     along mid_weight.  Instances are only built through make_arc_diagram
     or by the surgery engine, both of which validate the gluing."""
@@ -220,8 +219,7 @@ def involution(x: dict[ArcDiagram, Fraction]) -> dict[ArcDiagram, Fraction]:
 # entries in the node-to-component map, is left as it is.
 
 
-@dataclass(frozen=True)
-class _Component:
+class _Component(NamedTuple):
     nodes: frozenset
     ray_nodes: tuple
     is_line: bool

@@ -15,9 +15,9 @@ graph on weights that underlies the quiver presentation downstream.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CapacityError
 
@@ -111,8 +111,7 @@ def _enumerate_weights(m: int, n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CupDiagram:
+class CupDiagram(NamedTuple):
     """Cups (left, right) sorted by left endpoint, plus downward rays."""
 
     cups: tuple[tuple[int, int], ...]

@@ -22,9 +22,9 @@ ARCDUAL_BAR_CAPACITY guards it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import linalg
 from . import rewrite as rw
@@ -42,8 +42,7 @@ BAR_CAPACITY_DEFAULT = 200
 # cochain bases
 
 
-@dataclass(frozen=True)
-class Cochain2:
+class Cochain2(NamedTuple):
     """Basis 2-cochain: the rule with left-hand side `lhs` is sent to
     `path`, every other rule to zero."""
 
@@ -51,8 +50,7 @@ class Cochain2:
     path: Path
 
 
-@dataclass(frozen=True)
-class Cochain1:
+class Cochain1(NamedTuple):
     """Basis 1-cochain: the generator `arrow` is sent to `path`."""
 
     arrow: str
@@ -94,8 +92,7 @@ def cochain1_basis(m: int, n: int, q: int) -> tuple[Cochain1, ...]:
 # cocycle constraints from overlap ambiguities
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """A labelled sparse exact matrix, rows labelled `rows` and columns
     `cols`.  `vectors` holds its nonzero entries as read-only mappings,
     one {column index: c} per row, or one {row index: c} per column when
@@ -288,8 +285,7 @@ def alpha_basis(m: int, n: int) -> tuple[Cochain2, ...]:
 # dimension and certificate
 
 
-@dataclass(frozen=True)
-class HH2Certificate:
+class HH2Certificate(NamedTuple):
     m: int
     n: int
     q: int
@@ -531,8 +527,7 @@ def _a_infinity_claim(m: int, n: int, assignment: dict):
     return f"m_{len(alpha2.path.arrows)}({word}) = {vx} {vy}"
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     system: rw.ReductionSystem
     order_one: rw.DiamondReport
     at_one: rw.DiamondReport

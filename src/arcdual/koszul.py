@@ -39,9 +39,9 @@ so it cross-checks the rewriting machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import linalg
@@ -154,8 +154,7 @@ TYPE_SQUARE = "III"
 TYPE_CUBIC = "IV"
 
 
-@dataclass(frozen=True)
-class TaggedLhs:
+class TaggedLhs(NamedTuple):
     path: Path
     tag: str
 
@@ -451,8 +450,7 @@ def reduction_system_json(system: ReductionSystem) -> list[dict]:
 # Kazhdan-Lusztig polynomials and irreducible path counts
 
 
-@dataclass(frozen=True)
-class KLPolynomial:
+class KLPolynomial(NamedTuple):
     """Polynomial in q with integer coefficients, index = power."""
 
     coefficients: tuple[int, ...]
@@ -580,8 +578,7 @@ def irreducible_basis(m: int, n: int) -> MappingProxyType:
     return MappingProxyType({k: tuple(v) for k, v in buckets.items()})
 
 
-@dataclass(frozen=True)
-class DualSystemReport:
+class DualSystemReport(NamedTuple):
     ok: bool
     diamond: DiamondReport
     dimension: int
@@ -620,8 +617,7 @@ def certify_dual_system(m: int, n: int) -> DualSystemReport:
     return DualSystemReport(diamond.ok, diamond, dimension)
 
 
-@dataclass(frozen=True)
-class GradedDimensionReport:
+class GradedDimensionReport(NamedTuple):
     ok: bool
     pairs_checked: int
     buckets_checked: int
@@ -845,8 +841,7 @@ def staircase_chart(m: int, n: int) -> StaircaseChart:
 # long relations as normal-form identities
 
 
-@dataclass(frozen=True)
-class LongRelationReport:
+class LongRelationReport(NamedTuple):
     ok: bool
     identities_checked: int
     failures: tuple

@@ -22,9 +22,9 @@ two-cycles weighted by the enclosure coefficients).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import arc_algebra as alg
 from . import combinatorics as comb
@@ -33,11 +33,9 @@ from .arc_algebra import ArcDiagram
 from .errors import CertificationError
 
 
-@dataclass(frozen=True)
-class Arrow:
-    kind: str  # "x", "y", "xbar", "ybar"
-    source: str
-    target: str
+class Arrow(NamedTuple("Arrow", [("kind", str), ("source", str), ("target", str)])):
+    """`kind` is "x", "y", "xbar" or "ybar".  A subclass without
+    `__slots__`, so that `name` is cached on the instance."""
 
     @cached_property
     def name(self) -> str:
@@ -51,8 +49,7 @@ class Arrow:
         return self.name
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]  # (lower, upper)
 
@@ -184,18 +181,18 @@ def paths_of_length_two(quiver: Quiver, source: str, target: str):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RelationBlock:
+class RelationBlock(NamedTuple):
     source: str
     target: str
     paths: tuple[tuple[Arrow, Arrow], ...]
     rows: tuple[tuple[Fraction, ...], ...]  # echelon basis over the paths
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    dual: bool
-    blocks: tuple[RelationBlock, ...]
+class RelationSet(
+    NamedTuple("RelationSet", [("dual", bool), ("blocks", tuple[RelationBlock, ...])])
+):
+    """A subclass without `__slots__`, so that `_by_pair` is cached on
+    the instance."""
 
     @cached_property
     def _by_pair(self) -> dict[tuple[str, str], RelationBlock]:
@@ -302,8 +299,7 @@ def relations_K(m: int, n: int) -> RelationSet:
     return RelationSet(False, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class RhoReport:
+class RhoReport(NamedTuple):
     ok: bool
     blocks_checked: int
     mismatches: tuple

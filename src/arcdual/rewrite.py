@@ -24,8 +24,8 @@ is read off the events of one undeformed run (`koszul.dual_resolution`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import FuelError
 from .linalg import add_term, exact
@@ -34,9 +34,11 @@ from .presentation import Quiver
 DEFAULT_FUEL = 10**6
 
 
-@dataclass(frozen=True)
-class Path:
-    """Composable arrow sequence; length zero paths sit at a vertex."""
+class Path(NamedTuple):
+    """Composable arrow sequence; length zero paths sit at a vertex.
+
+    `len` counts arrows, so the inherited `_make` and `_replace`, which
+    check the field count with `len`, must not be used."""
 
     start: str
     arrows: tuple[str, ...]
@@ -106,8 +108,7 @@ def sorted_terms(x: LinComb):
     return tuple(sorted(x.items(), key=lambda it: path_key(it[0])))
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     lhs: Path
     rhs: tuple[tuple[Path, Coeff], ...]
     rhs_t: tuple[tuple[Path, Coeff], ...] = ()
@@ -212,8 +213,7 @@ def is_irreducible(path: Path, system: ReductionSystem) -> bool:
     return leftmost_redex(path, system) is None
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One rule application with its context: the reduced term was
     coeff * prefix * lhs * suffix."""
 
@@ -271,8 +271,7 @@ def normal_form(x, system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> LinComb
     return _reduce(as_lincomb(x), system, _Fuel(fuel))
 
 
-@dataclass(frozen=True)
-class Overlap:
+class Overlap(NamedTuple):
     """Word u*w*v where left.lhs = u*w and right.lhs = w*v, w nonempty."""
 
     left: Rule
@@ -303,15 +302,13 @@ def enumerate_overlaps(system: ReductionSystem) -> tuple[Overlap, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DiamondReport:
+class DiamondReport(NamedTuple):
     ok: bool
     overlaps_checked: int
     failures: tuple
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One resolution of an overlap word over the dual numbers.
 
     `events` are its rule applications in order, starting with the

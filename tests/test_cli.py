@@ -1,6 +1,5 @@
 """Command line behaviour: verbs, exit codes, deterministic output."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -296,7 +295,7 @@ def test_verify_full_suite_22(capsys):
 
 def test_verify_fails_on_zero_critical_hh2(capsys, monkeypatch):
     # a zero critical HH^2 would refute the deformation theorem at this size
-    zero = dataclasses.replace(hh.hh2_certificate(2, 2, 2), dimension=0)
+    zero = hh.hh2_certificate(2, 2, 2)._replace(dimension=0)
     monkeypatch.setattr(hh, "hh2_certificate", lambda *args: zero)
     code, out, err = run(capsys, "verify", "2", "2")
     assert code == 1
