@@ -189,6 +189,22 @@ def graded_dimension(m: int, n: int) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
+def block_dimensions(m: int, n: int, max_degree: int) -> dict[tuple[int, str, str], int]:
+    """Basis diagrams of degree at most max_degree, counted per
+    (degree, cup weight, cap weight), without building them.  The
+    diagrams with middle weight lam pair any two shapes lam orients, and
+    the degree adds their clockwise counts."""
+    counts: dict[tuple[int, str, str], int] = {}
+    for entries in _orientation_table(m, n).values():
+        low = [(a, cw) for a, cw in entries if cw <= max_degree]
+        for a, ca in low:
+            for b, cb in low:
+                if ca + cb <= max_degree:
+                    key = (ca + cb, a, b)
+                    counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def dimension(m: int, n: int) -> int:
     return sum(len(entries) ** 2 for entries in _orientation_table(m, n).values())
 

@@ -72,7 +72,7 @@ def cochain2_basis(m: int, n: int, q: int) -> tuple[Cochain2, ...]:
     out = []
     for rule in system.rules:
         lhs = rule.lhs
-        for p in basis.get((lhs.start, lhs.end, len(lhs.arrows) + q), ()):
+        for p in basis.bucket(lhs.start, lhs.end, len(lhs.arrows) + q):
             out.append(Cochain2(lhs.arrows, p))
     return tuple(out)
 
@@ -83,7 +83,7 @@ def cochain1_basis(m: int, n: int, q: int) -> tuple[Cochain1, ...]:
     basis = irreducible_basis(m, n)
     out = []
     for arrow in sorted(system.quiver.arrows, key=lambda a: a.name):
-        for p in basis.get((arrow.source, arrow.target, 1 + q), ()):
+        for p in basis.bucket(arrow.source, arrow.target, 1 + q):
             out.append(Cochain1(arrow.name, p))
     return tuple(out)
 
@@ -620,10 +620,12 @@ def _bar_data(m: int, n: int):
     nonzero u·v, and only the products with an arrow are rewritten
     from scratch.
     """
-    basis = irreducible_basis(m, n)
-    paths = sorted((p for bucket in basis.values() for p in bucket), key=path_key)
+    paths = irreducible_basis(m, n).paths()
     index = {p: i for i, p in enumerate(paths)}
-    buckets = {key: tuple(index[p] for p in bucket) for key, bucket in basis.items()}
+    grouped: dict = {}
+    for i, p in enumerate(paths):
+        grouped.setdefault((p.start, p.end, len(p.arrows)), []).append(i)
+    buckets = {key: tuple(bucket) for key, bucket in grouped.items()}
     pos = [i for i, p in enumerate(paths) if p.arrows]
     by_start: dict = {}
     by_end: dict = {}
@@ -679,7 +681,7 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     """
     limit = bar_capacity()
     basis = irreducible_basis(m, n)
-    positive = sum(len(b) for (_, _, length), b in basis.items() if length > 0)
+    positive = basis.dimension() - len(basis.trees)  # one length zero path per vertex
     if positive > limit:
         raise CapacityError(
             f"bar complex for ({m}, {n}) needs {positive} basis paths, "

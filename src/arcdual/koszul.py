@@ -19,11 +19,14 @@ right-hand side and are certified by exact membership of lhs - rhs in
 the padded quadratic ideal.
 
 The irreducible paths of the reduction system are the basis of the
-dual algebra.  `irreducible_basis` enumerates them once per size,
-bucketed by (start, end, length), and certifies that the enumeration
-is complete: it runs one level past the top length 2mn, and an
-irreducible path found there raises CertificationError.  The KL
-certificate below and every Hochschild computation read this one index.
+dual algebra.  `irreducible_basis` enumerates them once per size, as
+one prefix tree of integers per source vertex, and certifies that the
+enumeration is complete: it runs one level past the top length 2mn,
+and an irreducible path found there raises CertificationError.  The
+index holds integers only: the number of paths per (start, end,
+length) is read off the trees, and `Path` objects are built only for
+the buckets that are read.  The KL certificate below and every
+Hochschild computation read this one index.
 
 Kazhdan-Lusztig polynomials, computed by the cup-deletion recursion,
 grade the irreducible paths: the coefficient of q^k counts ascending
@@ -73,7 +76,7 @@ from .rewrite import (
     add_term,
     diamond_failure,
     enumerate_overlaps,
-    irreducible_paths_from,
+    irreducible_tree,
     make_path,
     make_rule,
     normal_form,
@@ -554,28 +557,66 @@ def ascending_irr_count(lam: str, mu: str, k: int) -> int:
 # certification
 
 
-@lru_cache(maxsize=None)
-def irreducible_basis(m: int, n: int) -> MappingProxyType:
-    """All irreducible paths, bucketed by (start, end, length), each
-    bucket in path_key order as irreducible_paths_from yields it.  The
-    mapping is cached and shared, so it is read-only.
+class IrreducibleBasis:
+    """The irreducible paths of the dual reduction system, as one
+    `PathTree` per source vertex in `trees`.  It holds integers only:
+    counts are read off the trees, and paths are built only when a
+    bucket is read, and never kept here.  The index is cached and
+    shared, so it is read-only."""
 
-    Enumerates one level past the expected top length 2mn; since every
-    prefix of an irreducible path is irreducible, an empty extra level
-    certifies that the enumeration is complete.
+    __slots__ = ("trees",)
+
+    def __init__(self, trees: MappingProxyType):
+        self.trees = trees
+
+    def counts(self) -> dict[tuple[str, str, int], int]:
+        """The number of paths per (start, end, length), nonzero counts
+        only, counted afresh on each call."""
+        counts = {}
+        for source, tree in self.trees.items():
+            counts[source, source, 0] = 1
+            levels, targets = tree.levels, tree.targets
+            for length in range(1, len(levels) - 1):
+                for arrow in tree.arrows[levels[length] : levels[length + 1]]:
+                    key = (source, targets[arrow], length)
+                    counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def dimension(self) -> int:
+        return sum(len(tree.parents) for tree in self.trees.values())
+
+    def bucket(self, start: str, end: str, length: int) -> tuple[Path, ...]:
+        """The paths from start to end of the given length, in path_key
+        order, built on each call."""
+        return self.trees[start].bucket(end, length)
+
+    def paths(self) -> list[Path]:
+        """Every basis path, built on each call, in path_key order."""
+        return sorted((p for tree in self.trees.values() for p in tree.paths()), key=path_key)
+
+
+@lru_cache(maxsize=None)
+def irreducible_basis(m: int, n: int) -> IrreducibleBasis:
+    """The irreducible-path basis of the dual algebra, built once per
+    size as one prefix tree per source vertex (`irreducible_tree`).
+
+    Every tree is grown to one level past the expected top length 2mn;
+    since every prefix of an irreducible path is irreducible, an empty
+    extra level certifies that the enumeration is complete.
     """
     system = reduction_system(m, n)
     top = 2 * m * n
-    buckets: dict = {}
+    trees = {}
     for source in sorted(system.quiver.vertices, key=comb.sort_key):
-        for p in irreducible_paths_from(system, source, top + 1):
-            if len(p.arrows) > top:
-                raise CertificationError(
-                    "irreducible path above the expected top length",
-                    witness={"m": m, "n": n, "path": repr(p)},
-                )
-            buckets.setdefault((p.start, p.end, len(p.arrows)), []).append(p)
-    return MappingProxyType({k: tuple(v) for k, v in buckets.items()})
+        tree = irreducible_tree(system, source, top + 1)
+        levels = tree.levels
+        if len(levels) - 2 > top:  # the length of the longest path
+            raise CertificationError(
+                "irreducible path above the expected top length",
+                witness={"m": m, "n": n, "path": repr(tree.path(levels[top + 1]))},
+            )
+        trees[source] = tree
+    return IrreducibleBasis(MappingProxyType(trees))
 
 
 class DualSystemReport(NamedTuple):
@@ -613,7 +654,7 @@ def certify_dual_system(m: int, n: int) -> DualSystemReport:
     themselves are certified against KL by `certify_graded_dimensions`.
     """
     diamond = dual_resolution(m, n)[0]
-    dimension = sum(len(bucket) for bucket in irreducible_basis(m, n).values())
+    dimension = irreducible_basis(m, n).dimension()
     return DualSystemReport(diamond.ok, diamond, dimension)
 
 
@@ -633,7 +674,7 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     is compared, plus any higher degree the KL product reaches; a
     mismatch is (lam, mu, i, got, want), in weight order and then by i.
     """
-    basis = irreducible_basis(m, n)
+    counts = irreducible_basis(m, n).counts()
     weights = comb.enumerate_weights(m, n)
     top = 2 * m * n
     columns = {}
@@ -658,7 +699,7 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
                             expected[b] += ca * cb
             buckets += top + 1 + sum(1 for want in expected[top + 1 :] if want)
             for i, want in enumerate(expected):
-                got = len(basis.get((lam, mu, i), ()))
+                got = counts.get((lam, mu, i), 0)
                 if got != want:
                     mismatches.append((lam, mu, i, got, want))
     return GradedDimensionReport(

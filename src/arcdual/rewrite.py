@@ -25,6 +25,7 @@ is read off the events of one undeformed run (`koszul.dual_resolution`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import FuelError
@@ -165,6 +166,32 @@ class ReductionSystem:
                 for p, _ in part:
                     if leftmost_redex(p, self) is not None:
                         raise ValueError(f"reducible right hand side {p!r}")
+
+    @cached_property
+    def extension_tables(self) -> tuple:
+        """What `irreducible_tree` extends paths with, built once: arrow
+        names in name order and their targets; per vertex the indices of
+        its arrows; per arrow the indices of the arrows that may follow it
+        without completing a length-two left-hand side; and the longer
+        left-hand sides by the index of their last arrow, each as the
+        indices of the other arrows read backwards."""
+        by_name = self.quiver.by_name
+        names = tuple(sorted(by_name))
+        ident = {name: i for i, name in enumerate(names)}
+        targets = tuple(by_name[name].target for name in names)
+        successors = {
+            v: sorted(ident[a.name] for a in out) for v, out in self.quiver.out.items()
+        }
+        follow = [
+            [b for b in successors[targets[a]] if (names[a], names[b]) not in self.by_lhs]
+            for a in range(len(names))
+        ]
+        longer: dict[int, set] = {}
+        for lhs in self.by_lhs:
+            if len(lhs) > 2:
+                back = tuple(ident[name] for name in reversed(lhs[:-1]))
+                longer.setdefault(ident[lhs[-1]], set()).add(back)
+        return names, targets, successors, follow, longer
 
     def rule_for(self, lhs_arrows: tuple[str, ...]) -> Rule:
         return self.by_lhs[lhs_arrows]
@@ -377,45 +404,98 @@ def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondR
     return DiamondReport(not failures, len(overlaps), failures)
 
 
-def irreducible_paths_from(
-    system: ReductionSystem, source: str, max_len: int
-) -> tuple[Path, ...]:
-    """All irreducible paths out of a vertex up to the given length,
-    including the length zero path, in path_key order.
+class PathTree:
+    """The irreducible paths out of `source` as a prefix tree of integers.
+
+    Node i is one path: `parents[i]` is the node of the path without its
+    last arrow and `arrows[i]` that arrow, an index into `names` (every
+    arrow name, in name order, with its target in `targets`).  Node 0 is
+    the length zero path; its entries are unused.  Nodes are numbered
+    level by level, each level in path_key order: the paths of length L
+    are the nodes from `levels[L]` up to `levels[L + 1]`.  Only the
+    nonempty levels are held.  Paths are built only when read.
+    """
+
+    __slots__ = ("source", "names", "targets", "levels", "parents", "arrows")
+
+    def __init__(self, source, names, targets, levels, parents, arrows):
+        self.source = source
+        self.names = names
+        self.targets = targets
+        self.levels = levels
+        self.parents = parents
+        self.arrows = arrows
+
+    def end(self, node: int) -> str:
+        return self.targets[self.arrows[node]] if node else self.source
+
+    def path(self, node: int) -> Path:
+        end = self.end(node)
+        names, parents, arrows = self.names, self.parents, self.arrows
+        back = []
+        while node:
+            back.append(names[arrows[node]])
+            node = parents[node]
+        return Path(self.source, tuple(reversed(back)), end)
+
+    def bucket(self, end: str, length: int) -> tuple[Path, ...]:
+        """The paths of the given length ending at `end`, in path_key order."""
+        if not 0 <= length < len(self.levels) - 1:
+            return ()
+        nodes = range(self.levels[length], self.levels[length + 1])
+        return tuple(self.path(i) for i in nodes if self.end(i) == end)
+
+    def paths(self) -> tuple[Path, ...]:
+        """Every path of the tree, node by node, so in path_key order."""
+        return tuple(self.path(i) for i in range(len(self.parents)))
+
+
+def _reads_back(words: set, parents: list, arrows: list, node: int, depth: int) -> bool:
+    """Whether some word of `words` is the arrows read back from `node`
+    along the parent chain, at most `depth` of them."""
+    back = ()
+    while node and len(back) < depth:
+        back += (arrows[node],)
+        node = parents[node]
+        if back in words:
+            return True
+    return False
+
+
+def irreducible_tree(system: ReductionSystem, source: str, max_len: int) -> PathTree:
+    """The irreducible paths out of a vertex up to the given length.
 
     Built one length at a time: every prefix of an irreducible path is
     irreducible, so a path of the next length is an irreducible path
     extended by an arrow, and it is irreducible when no redex ends at
     that arrow.  Arrows that would complete a length-two redex are
-    struck from the successor lists up front.  Extending a level that is
-    in path_key order path by path, each by its arrows in name order,
-    keeps the next level in path_key order, so the result needs no sort.
+    struck from the successor lists up front; a longer left-hand side is
+    looked up on the arrows read back along the parent chain, only
+    when the new arrow ends one.  Extending a level that is in path_key
+    order node by node, each by its arrows in name order, keeps the next
+    level in path_key order, so nothing is sorted.
     """
-    by_lhs = system.by_lhs
-    longer = [k for k in system.lhs_lengths if k > 2]
-    successors = {
-        v: sorted((a.name, a.target) for a in arrows)
-        for v, arrows in system.quiver.out.items()
-    }
-    # the successors of each arrow that do not complete a length-two redex
-    follow = {
-        name: [(b, t) for b, t in successors[target] if (name, b) not in by_lhs]
-        for steps in successors.values()
-        for name, target in steps
-    }
-    level = [Path(source, (), source)]
-    found = list(level)
+    names, targets, successors, follow, longer = system.extension_tables
+    depth = max(system.lhs_lengths, default=2) - 1
+    parents, arrows, levels = [0], [0], [0, 1]
     for _ in range(max_len):
-        extended = []
-        for path in level:
-            steps = follow[path.arrows[-1]] if path.arrows else successors[source]
-            for name, target in steps:
-                arrows = path.arrows + (name,)
-                for k in longer:
-                    if arrows[-k:] in by_lhs:
-                        break
-                else:
-                    extended.append(Path(source, arrows, target))
-        level = extended
-        found += level
-    return tuple(found)
+        for node in range(levels[-2], levels[-1]):
+            for b in follow[arrows[node]] if node else successors[source]:
+                words = longer.get(b)
+                if words and _reads_back(words, parents, arrows, node, depth):
+                    continue
+                parents.append(node)
+                arrows.append(b)
+        if len(parents) == levels[-1]:
+            break
+        levels.append(len(parents))
+    return PathTree(source, names, targets, tuple(levels), parents, arrows)
+
+
+def irreducible_paths_from(
+    system: ReductionSystem, source: str, max_len: int
+) -> tuple[Path, ...]:
+    """All irreducible paths out of a vertex up to the given length,
+    including the length zero path, in path_key order: the paths of
+    `irreducible_tree`."""
+    return irreducible_tree(system, source, max_len).paths()

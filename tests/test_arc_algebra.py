@@ -53,6 +53,18 @@ def test_graded_dimension_counts_the_enumerated_basis():
         assert alg.dimension(m, n) == len(alg.enumerate_basis(m, n)), (m, n)
 
 
+def test_block_dimensions_count_the_enumerated_basis():
+    # the low-degree blocks verify_rho compares, without building diagrams
+    for m, n in _splits(7):
+        for top in (0, 1, 2):
+            enumerated = Counter(
+                (alg.degree(d), d.cup_weight, d.cap_weight)
+                for d in alg.enumerate_basis(m, n)
+                if alg.degree(d) <= top
+            )
+            assert alg.block_dimensions(m, n, top) == dict(enumerated), (m, n, top)
+
+
 def test_oriented_shapes_match_the_gluing_conditions():
     for m, n in _splits(8):
         shapes = comb.enumerate_weights(m, n)

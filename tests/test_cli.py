@@ -308,10 +308,17 @@ def test_verify_reports_a_short_basis_bucket_as_graded_failure(capsys, monkeypat
     # the dual-system line still certifies the diamond and prints the
     # dimension; the count mismatch is the graded certificate's to report
     full = koszul.irreducible_basis(2, 2)
-    key = max(full, key=lambda k: (len(full[k]), k))
-    short = dict(full)
-    short[key] = full[key][1:]
-    monkeypatch.setattr(koszul, "irreducible_basis", lambda m, n: short)
+    counts = full.counts()
+    key = max(counts, key=lambda k: (counts[k], k))
+
+    class Short(koszul.IrreducibleBasis):
+        def counts(self):
+            return {**counts, key: counts[key] - 1}
+
+        def dimension(self):
+            return sum(self.counts().values())
+
+    monkeypatch.setattr(koszul, "irreducible_basis", lambda m, n: Short(full.trees))
     code, out, err = run(capsys, "verify", "2", "2")
     assert code == 1
     assert out.splitlines() == [
@@ -319,7 +326,7 @@ def test_verify_reports_a_short_basis_bucket_as_graded_failure(capsys, monkeypat
         "ok dual-system (8 overlaps, dimension 96)",
         "failed graded-dimensions",
     ]
-    assert f"witness: {(*key, len(full[key]) - 1, len(full[key]))}" in err
+    assert f"witness: {(*key, counts[key] - 1, counts[key])}" in err
 
 
 def test_usage_unknown_verb(capsys):

@@ -1,5 +1,6 @@
 """Dual presentation: orthogonal relations, reduction system, KL grading."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -367,10 +368,12 @@ def test_certify_graded_dimensions(m, n, buckets):
 
 def test_irreducible_basis_buckets_the_enumeration(sys22):
     basis = K.irreducible_basis(2, 2)
-    for (start, end, length), bucket in basis.items():
+    for (start, end, length), count in basis.counts().items():
+        bucket = basis.bucket(start, end, length)
+        assert len(bucket) == count
         assert bucket == tuple(sorted(bucket, key=path_key))
         assert all((p.start, p.end, len(p)) == (start, end, length) for p in bucket)
-    flat = sorted((p for bucket in basis.values() for p in bucket), key=path_key)
+    flat = sorted((p for key in basis.counts() for p in basis.bucket(*key)), key=path_key)
     direct = sorted(
         (
             p
@@ -389,7 +392,9 @@ def test_irreducible_paths_come_in_path_key_order(m, n):
     for v in system.quiver.vertices:
         paths = list(irreducible_paths_from(system, v, 2 * m * n + 1))
         assert paths == sorted(paths, key=path_key)
-    for bucket in K.irreducible_basis(m, n).values():
+    basis = K.irreducible_basis(m, n)
+    for key in basis.counts():
+        bucket = basis.bucket(*key)
         assert list(bucket) == sorted(bucket, key=path_key)
 
 
@@ -419,15 +424,88 @@ def test_irreducible_basis_certifies_completeness(monkeypatch, sys22):
     assert info.value.witness["m"] == info.value.witness["n"] == 2
 
 
+def _reference_basis(system, top):
+    """Irreducible paths with no follow table and no parent chain: every
+    irreducible word is extended by every arrow, and the whole word is
+    kept when it is irreducible."""
+    found = []
+    for source in system.quiver.vertices:
+        level = [rw.Path(source, (), source)]
+        for _ in range(top + 2):
+            found += level
+            words = (
+                rw.Path(source, p.arrows + (a.name,), a.target)
+                for p in level
+                for a in system.quiver.out[p.end]
+            )
+            level = [w for w in words if rw.is_irreducible(w, system)]
+    return found
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, t - m) for t in range(2, 8) for m in range(1, t)], ids=str
+)
+def test_basis_index_matches_a_reference_enumeration(m, n):
+    top = 2 * m * n
+    reference = _reference_basis(K.reduction_system(m, n), top)
+    assert max(len(p) for p in reference) <= top
+    buckets = {}
+    for p in reference:
+        buckets.setdefault((p.start, p.end, len(p)), []).append(p)
+    basis = K.irreducible_basis(m, n)
+    assert basis.counts() == {key: len(b) for key, b in buckets.items()}
+    assert basis.dimension() == len(reference)
+    for key, bucket in buckets.items():
+        assert basis.bucket(*key) == tuple(sorted(bucket, key=path_key)), key
+
+
+def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
+    # (4, 3) has 22,679 irreducible paths; held as Path objects they took
+    # about 5 MB
+    K.reduction_system(4, 3)
+    tracemalloc.start()
+    try:
+        basis = K.irreducible_basis.__wrapped__(4, 3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension() == 22679
+    assert held < 2_000_000
+
+    made = []
+    original = rw.Path
+
+    def counting(*fields):
+        made.append(fields)
+        return original(*fields)
+
+    monkeypatch.setattr(rw, "Path", counting)
+    counts = basis.counts()
+    key = max(counts, key=lambda k: (counts[k], k))
+    bucket = basis.bucket(*key)
+    assert len(made) == len(bucket) == counts[key] > 1
+    assert all((p.start, p.end, len(p)) == key for p in bucket)
+    # the index keeps no copy: a second read builds the bucket again
+    assert basis.bucket(*key) == bucket
+    assert len(made) == 2 * len(bucket)
+
+
 def test_certificates_report_a_missing_basis_path(monkeypatch):
     full = K.irreducible_basis(2, 2)
-    key = max(full, key=lambda k: (len(full[k]), k))
+    counts = full.counts()
+    key = max(counts, key=lambda k: (counts[k], k))
     start, end, length = key
-    want = len(full[key])
+    want = counts[key]
     assert want > 1
-    short = dict(full)
-    short[key] = full[key][1:]
-    monkeypatch.setattr(K, "irreducible_basis", lambda m, n: short)
+
+    class Short(K.IrreducibleBasis):
+        def counts(self):
+            return {**counts, key: want - 1}
+
+        def dimension(self):
+            return sum(self.counts().values())
+
+    monkeypatch.setattr(K, "irreducible_basis", lambda m, n: Short(full.trees))
 
     # the dual-system report is the diamond check plus the dimension;
     # only the graded certificate compares counts with KL
@@ -465,14 +543,14 @@ def test_graded_certificate_reports_a_perturbed_kl_coefficient(monkeypatch):
 
 def test_verify_enumerates_the_basis_once_per_vertex(monkeypatch, capsys):
     calls = []
-    original = rw.irreducible_paths_from
+    original = rw.irreducible_tree
 
     def counting(system, source, max_len):
         calls.append(source)
         return original(system, source, max_len)
 
-    monkeypatch.setattr(rw, "irreducible_paths_from", counting)
-    monkeypatch.setattr(K, "irreducible_paths_from", counting)
+    monkeypatch.setattr(rw, "irreducible_tree", counting)
+    monkeypatch.setattr(K, "irreducible_tree", counting)
     K.irreducible_basis.cache_clear()
     assert cli.main(["verify", "4", "3"]) == 0
     capsys.readouterr()
@@ -513,7 +591,7 @@ def test_certify_catches_a_corrupted_sign(sys22):
 
 def test_top_block_is_one_dimensional():
     top = comb.highest_weight(2, 2)
-    paths = K.irreducible_basis(2, 2)[(top, top, 8)]
+    paths = K.irreducible_basis(2, 2).bucket(top, top, 8)
     assert len(paths) == 1
     arrows = paths[0].arrows
     assert all(a.startswith("xbar:") for a in arrows[:4])
@@ -523,7 +601,7 @@ def test_top_block_is_one_dimensional():
 def test_paths_beyond_twice_the_grading_vanish(sys22):
     qbar = sys22.quiver
     top = comb.highest_weight(2, 2)
-    long_path = K.irreducible_basis(2, 2)[(top, top, 8)][0]
+    long_path = K.irreducible_basis(2, 2).bucket(top, top, 8)[0]
     for arrow in qbar.out[long_path.end]:
         extended = make_path(qbar, list(long_path.arrows) + [arrow.name])
         assert normal_form(extended, sys22) == {}
