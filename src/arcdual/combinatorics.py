@@ -83,14 +83,6 @@ def sort_key(w: str):
     return height(w), tuple(0 if c == DOWN else 1 for c in w)
 
 
-def lowest_weight(m: int, n: int) -> str:
-    return DOWN * m + UP * n
-
-
-def highest_weight(m: int, n: int) -> str:
-    return UP * n + DOWN * m
-
-
 def enumerate_weights(m: int, n: int) -> tuple[str, ...]:
     """All weights of type (m, n) in canonical order."""
     if m < 0 or n < 0:

@@ -599,26 +599,28 @@ def _bar_data(m: int, n: int):
     A basis path, length zero included, is named by its index in
     `paths`, the basis in `path_key` order.  Returns `paths`; the
     positive indices `pos`, also grouped by start vertex; the buckets
-    of `irreducible_basis` as index tuples; `product[u, v]`, the terms
-    (t, c) sorted by t of each nonzero product of positive paths (a
-    zero product has no entry); per index w, `left[w]` and `right[w]`,
-    the pairs (a, product[a, w]) and (c, product[w, c]) with an entry,
-    in index order, or a·e = a and e·c = c for a length-zero e; and
-    `containing[t]`, the (u, v, c) with c·t in product[u, v], in (u, v)
-    order.
+    of `irreducible_basis` as index tuples; and the nonzero products
+    of positive paths as three flat int lists per index, each a run of
+    triples: `left[w]` holds (u, t, c) for every term c·t of each
+    nonzero u·w, `right[w]` holds (v, t, c) for each nonzero w·v, and
+    `containing[t]` holds (u, v, c) for each u·v with the term c·t.
+    Each list is in index order of its first two entries, the terms of
+    one product in index order.  For a length-zero e, a·e = a and
+    e·c = c, so `left[e]` holds (a, a, 1) and `right[e]` holds (c, c, 1).
 
     The table is built one arrow at a time.  Taking v in index order,
     the prefix v' of v = v'·a is done before v, and
 
-        NF(u·v'·a) = NF(NF(u·v')·a) = sum of c·product[t, a]
+        NF(u·v'·a) = NF(NF(u·v')·a) = sum of c·NF(t·a)
 
-    over the terms (t, c) of product[u, v'].  The first equality holds
-    because the system is confluent (Bergman's diamond lemma, which
+    over the terms c·t of u·v'.  The first equality holds because the
+    system is confluent (Bergman's diamond lemma, which
     `certify_dual_system` certifies): u·v' - NF(u·v') lies in the
     ideal of the relations, so does its product with a, and the normal
     form vanishes on that ideal.  So only the u in left[v'] can give a
     nonzero u·v, and only the products with an arrow are rewritten
-    from scratch.
+    from scratch.  Those are the only products the extension reads
+    back, so only they are kept while the table is built.
     """
     paths = irreducible_basis(m, n).paths()
     index = {p: i for i, p in enumerate(paths)}
@@ -632,32 +634,52 @@ def _bar_data(m: int, n: int):
     for i in pos:
         by_start.setdefault(paths[i].start, []).append(i)
         by_end.setdefault(paths[i].end, []).append(i)
-    left = [[] if p.arrows else [(a, ((a, 1),)) for a in by_end.get(p.start, ())] for p in paths]
-    right = [[] if p.arrows else [(c, ((c, 1),)) for c in by_start.get(p.end, ())] for p in paths]
+    left = [[] if p.arrows else [x for a in by_end.get(p.start, ()) for x in (a, a, 1)]
+            for p in paths]
+    right = [[] if p.arrows else [x for c in by_start.get(p.end, ()) for x in (c, c, 1)]
+             for p in paths]
     arrows = {paths[i].arrows[0]: i for i in pos if len(paths[i]) == 1}
-    product: dict = {}
+    by_arrow: dict = {}  # (t, a) -> the terms (s, g) of t·a, for an arrow a
     for v in pos:
         p = paths[v]
         a = arrows[p.arrows[-1]]
-        for u, terms in left[index[Path(p.start, p.arrows[:-1], paths[a].start)]]:
+        accs: dict = {}
+        for u, t, c in _triples(left[index[Path(p.start, p.arrows[:-1], paths[a].start)]]):
+            acc = accs.setdefault(u, {})
             if v == a:
-                terms = tuple((index[t], c) for t, c in _nf_terms(m, n, rw.compose(paths[u], p)))
+                for s, g in _nf_terms(m, n, rw.compose(paths[u], p)):
+                    acc[index[s]] = g
             else:
-                acc: dict = {}
-                for t, c in terms:
-                    for s, g in product.get((t, a), ()):
-                        rw.add_term(acc, s, c * g)
-                terms = tuple(sorted(acc.items()))
-            if terms:
-                product[u, v] = terms
-                left[v].append((u, terms))
-                right[u].append((v, terms))
+                for s, g in by_arrow.get((t, a), ()):
+                    rw.add_term(acc, s, c * g)
+        for u, acc in accs.items():
+            terms = sorted(acc.items())
+            if v == a and terms:
+                by_arrow[u, a] = terms
+            for t, c in terms:
+                left[v] += (u, t, c)
+                right[u] += (v, t, c)
     containing: list = [[] for _ in paths]
     for u in pos:
-        for v, terms in right[u]:
-            for t, c in terms:
-                containing[t].append((u, v, c))
-    return paths, pos, by_start, buckets, product, left, right, containing
+        for v, t, c in _triples(right[u]):
+            containing[t] += (u, v, c)
+    return paths, pos, by_start, buckets, left, right, containing
+
+
+def _triples(flat):
+    """The consecutive triples of a flat list."""
+    it = iter(flat)
+    return zip(it, it, it)
+
+
+def _radix_key(digits, base: int) -> int:
+    """The digits read as one integer in the given base, most
+    significant first.  For tuples of one length over range(base) this
+    is a bijection onto integers that keeps the tuple order."""
+    key = 0
+    for d in digits:
+        key = key * base + d
+    return key
 
 
 def hh2_bar_oracle(m: int, n: int, q: int) -> int:
@@ -672,12 +694,18 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     a * w, then (-1)^(i+1) g w at each (a, b) that replaces the i-th
     path (from 0) when that path has coefficient g in a * b, then
     (-1)^(k+1) w * c, visiting the nonzero products only.  Paths are
-    `_bar_data` indices, and a column is keyed by tuples of them.  The
-    cost is building the columns and eliminating them, both steep in
-    the number of positive basis paths, so the computation refuses to
-    start above `bar_capacity()`: the ARCDUAL_BAR_CAPACITY variable,
-    else 200.  The product table is sound only for a confluent system,
-    so CertificationError if the diamond check fails.
+    `_bar_data` indices; a coboundary entry is the tensor of k + 1
+    paths with a value, keyed by the one integer `_radix_key` reads
+    from those k + 1 indices and that value's index in base
+    len(paths).  Keys of one cochain degree have one length, so they
+    order as the index tuples do.  The number of 2-cochain columns is
+    known before any column is built, and the columns reach
+    `linalg.sparse_rank` one at a time, so only its integer rows are
+    held.  The cost is building the columns and eliminating them, both
+    steep in the number of positive basis paths, so the computation
+    refuses to start above `bar_capacity()`: the ARCDUAL_BAR_CAPACITY
+    variable, else 200.  The product table is sound only for a
+    confluent system, so CertificationError if the diamond check fails.
     """
     limit = bar_capacity()
     basis = irreducible_basis(m, n)
@@ -688,21 +716,21 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
             f"capacity is {limit}"
         )
     _confluent_resolution(m, n)
-    paths, pos, by_start, buckets, _, left, right, containing = _bar_data(m, n)
+    paths, pos, by_start, buckets, left, right, containing = _bar_data(m, n)
+    base = len(paths)
 
     def column(word, w):
         col: dict = {}
-        for a, terms in left[w]:
-            for t, c in terms:
-                rw.add_term(col, (a, *word, t), c)
+        for a, t, c in _triples(left[w]):
+            rw.add_term(col, _radix_key((a, *word, t), base), c)
         for i, x in enumerate(word):
             sign = (-1) ** (i + 1)
-            for a, b, g in containing[x]:
-                rw.add_term(col, word[:i] + (a, b) + word[i + 1 :] + (w,), sign * g)
+            for a, b, g in _triples(containing[x]):
+                digits = (*word[:i], a, b, *word[i + 1 :], w)
+                rw.add_term(col, _radix_key(digits, base), sign * g)
         sign = (-1) ** (len(word) + 1)
-        for c_, terms in right[w]:
-            for t, c in terms:
-                rw.add_term(col, (*word, c_, t), sign * c)
+        for c_, t, c in _triples(right[w]):
+            rw.add_term(col, _radix_key((*word, c_, t), base), sign * c)
         return col
 
     size = [len(p.arrows) for p in paths]
@@ -710,11 +738,15 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     def parallel(u, v, length):
         return buckets.get((paths[u].start, paths[v].end, length + q), ())
 
-    cols2 = [
-        column((u, v), w)
+    # each word with the basis paths parallel to it, where there are any
+    words2 = [
+        ((u, v), ws)
         for u in pos
         for v in by_start.get(paths[u].end, ())
-        for w in parallel(u, v, size[u] + size[v])
+        if (ws := parallel(u, v, size[u] + size[v]))
     ]
-    cols1 = [column((u,), w) for u in pos for w in parallel(u, u, size[u])]
-    return len(cols2) - linalg.sparse_rank(cols2) - linalg.sparse_rank(cols1)
+    words1 = [((u,), ws) for u in pos if (ws := parallel(u, u, size[u]))]
+    columns2 = sum(len(ws) for _, ws in words2)
+    rank2 = linalg.sparse_rank(column(word, w) for word, ws in words2 for w in ws)
+    rank1 = linalg.sparse_rank(column(word, w) for word, ws in words1 for w in ws)
+    return columns2 - rank2 - rank1

@@ -23,25 +23,27 @@ dual algebra.  `irreducible_basis` enumerates them once per size, as
 one prefix tree of integers per source vertex, and certifies that the
 enumeration is complete: it runs one level past the top length 2mn,
 and an irreducible path found there raises CertificationError.  The
-index holds integers only: the number of paths per (start, end,
-length) is read off the trees, and `Path` objects are built only for
-the buckets that are read.  The KL certificate below and every
-Hochschild computation read this one index.
+index holds integers only, 8 bytes a path: the number of paths per
+(end, length) is read off one source's tree at a time, and `Path`
+objects are built only for the buckets that are read.  The KL
+certificate below and every Hochschild computation read this one index.
 
 Kazhdan-Lusztig polynomials, computed by the cup-deletion recursion,
 grade the irreducible paths: the coefficient of q^k counts ascending
 irreducible paths of length k, and the number of irreducible paths of
 length i between two vertices is the coefficient of q^i in the product
 of their KL columns.  `certify_graded_dimensions` is the one place that
-compares the index with that product; `certify_dual_system` is the
-diamond check plus the dimension.  The overlaps are resolved once per
-size (`dual_resolution`): the diamond report and the HH^2 cocycle
-constraints read the same resolution.  The KL side uses no rewrite rules,
-so it cross-checks the rewriting machinery.
+compares the index with that product, one source vertex at a time
+against its KL row; `certify_dual_system` is the diamond check plus
+the dimension.  The overlaps are resolved once per size
+(`dual_resolution`): the diamond report and the HH^2 cocycle
+constraints read the same resolution.  The KL side uses no rewrite
+rules, so it cross-checks the rewriting machinery.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -516,70 +518,33 @@ def kl_poly(lam: str, mu: str) -> KLPolynomial:
     return KLPolynomial(_trim(shifted))
 
 
-def ascending_irr_count(lam: str, mu: str, k: int) -> int:
-    """Ascending irreducible paths of length k, counted directly.
-
-    A path is reducible exactly when some exchanged cup survives a
-    stretch of earlier levels and fails, somewhere in that stretch, to
-    lie left of or enclose the cup exchanged there.  The count uses
-    only this criterion, no rewrite rules.
-    """
-    if weight_type(lam) != weight_type(mu):
-        raise ValueError(f"weights {lam!r} and {mu!r} have different types")
-    if k == 0:
-        return 1 if lam == mu else 0
-    count = 0
-    stack = [((lam,), ())]
-    while stack:
-        ws, cs = stack.pop()
-        w = ws[-1]
-        for c in cup_matching(w).cups:
-            ok = True
-            for back in range(1, len(ws)):
-                if c not in cup_matching(ws[-1 - back]).cups:
-                    break
-                earlier = cs[-back]
-                if not (is_left_of(c, earlier) or is_nested(earlier, c)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nxt = exchange_pair(w, c)
-            if len(cs) + 1 == k:
-                if nxt == mu:
-                    count += 1
-            else:
-                stack.append((ws + (nxt,), cs + (c,)))
-    return count
-
-
 # ---------------------------------------------------------------------------
 # certification
 
 
 class IrreducibleBasis:
     """The irreducible paths of the dual reduction system, as one
-    `PathTree` per source vertex in `trees`.  It holds integers only:
-    counts are read off the trees, and paths are built only when a
-    bucket is read, and never kept here.  The index is cached and
-    shared, so it is read-only."""
+    `PathTree` per source vertex in `trees`.  It holds integers only, 8
+    bytes a path: counts are read off the trees one source at a time,
+    and paths are built only when a bucket is read, and never kept
+    here.  The index is cached and shared, so it is read-only."""
 
     __slots__ = ("trees",)
 
     def __init__(self, trees: MappingProxyType):
         self.trees = trees
 
-    def counts(self) -> dict[tuple[str, str, int], int]:
-        """The number of paths per (start, end, length), nonzero counts
-        only, counted afresh on each call."""
-        counts = {}
-        for source, tree in self.trees.items():
-            counts[source, source, 0] = 1
-            levels, targets = tree.levels, tree.targets
-            for length in range(1, len(levels) - 1):
-                for arrow in tree.arrows[levels[length] : levels[length + 1]]:
-                    key = (source, targets[arrow], length)
-                    counts[key] = counts.get(key, 0) + 1
+    def source_counts(self, source: str) -> dict[tuple[str, int], int]:
+        """The number of paths out of `source` per (end, length), nonzero
+        counts only, counted afresh on each call."""
+        tree = self.trees[source]
+        levels, targets = tree.levels, tree.targets
+        counts = {(source, 0): 1}
+        for length in range(1, len(levels) - 1):
+            level = Counter(tree.arrows[levels[length] : levels[length + 1]])
+            for arrow, k in level.items():
+                key = (targets[arrow], length)
+                counts[key] = counts.get(key, 0) + k
         return counts
 
     def dimension(self) -> int:
@@ -673,8 +638,10 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     (Brundan-Stroppel, Koszulity).  Every degree 0..2mn of every block
     is compared, plus any higher degree the KL product reaches; a
     mismatch is (lam, mu, i, got, want), in weight order and then by i.
+    The counts are read one source lam at a time, so only one source's
+    counts are held.
     """
-    counts = irreducible_basis(m, n).counts()
+    basis = irreducible_basis(m, n)
     weights = comb.enumerate_weights(m, n)
     top = 2 * m * n
     columns = {}
@@ -684,6 +651,7 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     mismatches = []
     buckets = 0
     for lam in weights:
+        counts = basis.source_counts(lam)
         for mu in weights:
             expected = [0] * (top + 1)
             for kappa, left in columns[lam].items():
@@ -699,7 +667,7 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
                             expected[b] += ca * cb
             buckets += top + 1 + sum(1 for want in expected[top + 1 :] if want)
             for i, want in enumerate(expected):
-                got = counts.get((lam, mu, i), 0)
+                got = counts.get((mu, i), 0)
                 if got != want:
                     mismatches.append((lam, mu, i, got, want))
     return GradedDimensionReport(

@@ -24,6 +24,7 @@ is read off the events of one undeformed run (`koszul.dual_resolution`).
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -409,11 +410,12 @@ class PathTree:
 
     Node i is one path: `parents[i]` is the node of the path without its
     last arrow and `arrows[i]` that arrow, an index into `names` (every
-    arrow name, in name order, with its target in `targets`).  Node 0 is
-    the length zero path; its entries are unused.  Nodes are numbered
-    level by level, each level in path_key order: the paths of length L
-    are the nodes from `levels[L]` up to `levels[L + 1]`.  Only the
-    nonempty levels are held.  Paths are built only when read.
+    arrow name, in name order, with its target in `targets`).  Both are
+    flat `array('I')`s, 4 bytes an entry, so a node costs 8 bytes.  Node
+    0 is the length zero path; its entries are unused.  Nodes are
+    numbered level by level, each level in path_key order: the paths of
+    length L are the nodes from `levels[L]` up to `levels[L + 1]`.  Only
+    the nonempty levels are held.  Paths are built only when read.
     """
 
     __slots__ = ("source", "names", "targets", "levels", "parents", "arrows")
@@ -450,7 +452,7 @@ class PathTree:
         return tuple(self.path(i) for i in range(len(self.parents)))
 
 
-def _reads_back(words: set, parents: list, arrows: list, node: int, depth: int) -> bool:
+def _reads_back(words: set, parents: array, arrows: array, node: int, depth: int) -> bool:
     """Whether some word of `words` is the arrows read back from `node`
     along the parent chain, at most `depth` of them."""
     back = ()
@@ -477,7 +479,7 @@ def irreducible_tree(system: ReductionSystem, source: str, max_len: int) -> Path
     """
     names, targets, successors, follow, longer = system.extension_tables
     depth = max(system.lhs_lengths, default=2) - 1
-    parents, arrows, levels = [0], [0], [0, 1]
+    parents, arrows, levels = array("I", [0]), array("I", [0]), [0, 1]
     for _ in range(max_len):
         for node in range(levels[-2], levels[-1]):
             for b in follow[arrows[node]] if node else successors[source]:

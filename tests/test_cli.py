@@ -9,6 +9,7 @@ from arcdual import cli
 from arcdual import hochschild as hh
 from arcdual import koszul
 from arcdual import rewrite as rw
+from reference import basis_counts
 
 
 def run(capsys, *argv):
@@ -308,15 +309,19 @@ def test_verify_reports_a_short_basis_bucket_as_graded_failure(capsys, monkeypat
     # the dual-system line still certifies the diamond and prints the
     # dimension; the count mismatch is the graded certificate's to report
     full = koszul.irreducible_basis(2, 2)
-    counts = full.counts()
+    counts = basis_counts(full)
     key = max(counts, key=lambda k: (counts[k], k))
+    start, end, length = key
 
     class Short(koszul.IrreducibleBasis):
-        def counts(self):
-            return {**counts, key: counts[key] - 1}
+        def source_counts(self, source):
+            found = super().source_counts(source)
+            if source == start:
+                found[end, length] -= 1
+            return found
 
         def dimension(self):
-            return sum(self.counts().values())
+            return sum(sum(self.source_counts(v).values()) for v in self.trees)
 
     monkeypatch.setattr(koszul, "irreducible_basis", lambda m, n: Short(full.trees))
     code, out, err = run(capsys, "verify", "2", "2")

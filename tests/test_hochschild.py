@@ -6,6 +6,7 @@ Larger sizes are pinned by the graded KL dimension identity and by the
 independent bar-complex oracle.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from arcdual import linalg
 from arcdual import rewrite as rw
 from arcdual.errors import CapacityError, CertificationError
 from arcdual.koszul import irreducible_basis, reduction_system
+from reference import basis_counts
 from test_rewrite import A, path
 
 F = Fraction
@@ -403,11 +405,21 @@ def test_bar_product_table_is_the_normal_form(m, n):
     # positive paths has an entry exactly when its normal form from
     # scratch is nonzero, and then the entry is that normal form
     system = reduction_system(m, n)
-    paths, pos, _, _, product, left, right, _ = hh._bar_data(m, n)
+    paths, pos, _, _, left, right, containing = hh._bar_data(m, n)
     basis = irreducible_basis(m, n)
-    flat = (p for key in basis.counts() for p in basis.bucket(*key))
+    flat = (p for key in basis_counts(basis) for p in basis.bucket(*key))
     assert paths == sorted(flat, key=rw.path_key)
     assert pos == [i for i, p in enumerate(paths) if p.arrows]
+
+    def triples(run):
+        assert len(run) % 3 == 0
+        return [tuple(run[j : j + 3]) for j in range(0, len(run), 3)]
+
+    product: dict = {}
+    for u in pos:
+        for v, t, c in triples(right[u]):
+            product.setdefault((u, v), []).append((t, c))
+    product = {key: tuple(terms) for key, terms in product.items()}
     index = {p: i for i, p in enumerate(paths)}
     composable = [(u, v) for u in pos for v in pos if paths[u].end == paths[v].start]
     assert set(product) <= set(composable)
@@ -417,10 +429,59 @@ def test_bar_product_table_is_the_normal_form(m, n):
         assert ((u, v) in product) == bool(terms), (paths[u], paths[v])
         if terms:
             assert product[u, v] == terms
-    # the neighbour lists are the table read by row and by column
+    # the flat lists are the same table read by column, by row and by term
     for w in pos:
-        assert left[w] == [(u, product[u, w]) for u in pos if (u, w) in product]
-        assert right[w] == [(v, product[w, v]) for v in pos if (w, v) in product]
+        assert triples(left[w]) == [(u, t, c) for u in pos for t, c in product.get((u, w), ())]
+        assert triples(right[w]) == [(v, t, c) for v in pos for t, c in product.get((w, v), ())]
+    for t in range(len(paths)):
+        assert triples(containing[t]) == [
+            (u, v, c) for (u, v), terms in sorted(product.items()) for s, c in terms if s == t
+        ]
+    # a length-zero e is a unit on both sides
+    for e, p in enumerate(paths):
+        if not p.arrows:
+            assert triples(left[e]) == [(a, a, 1) for a in pos if paths[a].end == p.start]
+            assert triples(right[e]) == [(c, c, 1) for c in pos if paths[c].start == p.end]
+
+
+@given(st.data())
+def test_radix_key_keeps_the_tuple_order(data):
+    base = data.draw(st.integers(1, 5000))
+    length = data.draw(st.integers(0, 5))
+    digits = st.tuples(*[st.integers(0, base - 1)] * length)
+    x, y = data.draw(digits), data.draw(digits)
+    assert (x < y) == (hh._radix_key(x, base) < hh._radix_key(y, base))
+    assert (x == y) == (hh._radix_key(x, base) == hh._radix_key(y, base))
+
+
+def test_bar_table_is_compact():
+    # (3, 2) held 3.27 MB with every product as a tuple of (t, c) tuples,
+    # and 1.26 MB as flat triples, with the arrow products dropped
+    irreducible_basis(3, 2)
+    hh._nf_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        hh._bar_data.__wrapped__(3, 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2_000_000
+
+
+def test_bar_oracle_peak_memory(monkeypatch):
+    # q = 0 at (2, 2) peaked at 2.80 MB with tuple-keyed columns in one
+    # list, and at 1.67 MB with integer keys and the columns fed to the
+    # elimination one at a time
+    monkeypatch.delenv(hh.BAR_CAPACITY_ENV, raising=False)
+    hh._confluent_resolution(2, 2)
+    hh._bar_data(2, 2)
+    tracemalloc.start()
+    try:
+        assert hh.hh2_bar_oracle(2, 2, 0) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_600_000
 
 
 def test_bar_product_table_rewrites_arrow_products_only():

@@ -21,6 +21,7 @@ from arcdual.rewrite import (
     normal_form,
     path_key,
 )
+from reference import ascending_irr_count, basis_counts, highest_weight, reference_tree
 from test_rewrite import A, RULES_22
 
 
@@ -321,7 +322,7 @@ def test_kl_counts_ascending_irreducible_paths(m, n):
         for mu in ws:
             poly = K.kl_poly(lam, mu)
             for k in range(m * n + 2):
-                assert poly.coefficient(k) == K.ascending_irr_count(lam, mu, k)
+                assert poly.coefficient(k) == ascending_irr_count(lam, mu, k)
 
 
 @given(st.data())
@@ -368,12 +369,12 @@ def test_certify_graded_dimensions(m, n, buckets):
 
 def test_irreducible_basis_buckets_the_enumeration(sys22):
     basis = K.irreducible_basis(2, 2)
-    for (start, end, length), count in basis.counts().items():
+    for (start, end, length), count in basis_counts(basis).items():
         bucket = basis.bucket(start, end, length)
         assert len(bucket) == count
         assert bucket == tuple(sorted(bucket, key=path_key))
         assert all((p.start, p.end, len(p)) == (start, end, length) for p in bucket)
-    flat = sorted((p for key in basis.counts() for p in basis.bucket(*key)), key=path_key)
+    flat = sorted((p for key in basis_counts(basis) for p in basis.bucket(*key)), key=path_key)
     direct = sorted(
         (
             p
@@ -393,7 +394,7 @@ def test_irreducible_paths_come_in_path_key_order(m, n):
         paths = list(irreducible_paths_from(system, v, 2 * m * n + 1))
         assert paths == sorted(paths, key=path_key)
     basis = K.irreducible_basis(m, n)
-    for key in basis.counts():
+    for key in basis_counts(basis):
         bucket = basis.bucket(*key)
         assert list(bucket) == sorted(bucket, key=path_key)
 
@@ -453,15 +454,39 @@ def test_basis_index_matches_a_reference_enumeration(m, n):
     for p in reference:
         buckets.setdefault((p.start, p.end, len(p)), []).append(p)
     basis = K.irreducible_basis(m, n)
-    assert basis.counts() == {key: len(b) for key, b in buckets.items()}
+    assert basis_counts(basis) == {key: len(b) for key, b in buckets.items()}
     assert basis.dimension() == len(reference)
     for key, bucket in buckets.items():
         assert basis.bucket(*key) == tuple(sorted(bucket, key=path_key)), key
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 3)])
+def test_basis_trees_match_a_list_built_reference(m, n):
+    system = K.reduction_system(m, n)
+    basis = K.irreducible_basis(m, n)
+    for source, tree in basis.trees.items():
+        levels, parents, arrows = reference_tree(system, source, 2 * m * n + 1)
+        assert tree.parents.typecode == tree.arrows.typecode == "I"
+        assert tree.levels == tuple(levels)
+        assert tree.parents.tolist() == parents
+        assert tree.arrows.tolist() == arrows
+    assert basis.dimension() == {(2, 2): 97, (3, 2): 431, (4, 3): 22679}[m, n]
+
+
+def test_source_counts_add_up_to_the_global_counts():
+    basis = K.irreducible_basis(3, 3)
+    merged = {
+        (source, end, length): count
+        for source in basis.trees
+        for (end, length), count in basis.source_counts(source).items()
+    }
+    assert merged == basis_counts(basis)
+    assert sum(merged.values()) == basis.dimension()
+
+
 def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
     # (4, 3) has 22,679 irreducible paths; held as Path objects they took
-    # about 5 MB
+    # about 5 MB, as lists of ints 0.69 MB, and as arrays 0.23 MB
     K.reduction_system(4, 3)
     tracemalloc.start()
     try:
@@ -470,7 +495,7 @@ def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
     finally:
         tracemalloc.stop()
     assert basis.dimension() == 22679
-    assert held < 2_000_000
+    assert held < 400_000
 
     made = []
     original = rw.Path
@@ -480,7 +505,7 @@ def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
         return original(*fields)
 
     monkeypatch.setattr(rw, "Path", counting)
-    counts = basis.counts()
+    counts = basis_counts(basis)
     key = max(counts, key=lambda k: (counts[k], k))
     bucket = basis.bucket(*key)
     assert len(made) == len(bucket) == counts[key] > 1
@@ -492,18 +517,21 @@ def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
 
 def test_certificates_report_a_missing_basis_path(monkeypatch):
     full = K.irreducible_basis(2, 2)
-    counts = full.counts()
+    counts = basis_counts(full)
     key = max(counts, key=lambda k: (counts[k], k))
     start, end, length = key
     want = counts[key]
     assert want > 1
 
     class Short(K.IrreducibleBasis):
-        def counts(self):
-            return {**counts, key: want - 1}
+        def source_counts(self, source):
+            found = super().source_counts(source)
+            if source == start:
+                found[end, length] -= 1
+            return found
 
         def dimension(self):
-            return sum(self.counts().values())
+            return sum(sum(self.source_counts(v).values()) for v in self.trees)
 
     monkeypatch.setattr(K, "irreducible_basis", lambda m, n: Short(full.trees))
 
@@ -525,7 +553,7 @@ def test_graded_certificate_reports_a_perturbed_kl_coefficient(monkeypatch):
     # warm the kl_poly cache first, so that the recursion behind the
     # other entries never calls the patched function
     assert K.certify_graded_dimensions(2, 2).ok
-    top = comb.highest_weight(2, 2)
+    top = highest_weight(2, 2)
     original = K.kl_poly
 
     def perturbed(lam, mu):
@@ -590,7 +618,7 @@ def test_certify_catches_a_corrupted_sign(sys22):
 
 
 def test_top_block_is_one_dimensional():
-    top = comb.highest_weight(2, 2)
+    top = highest_weight(2, 2)
     paths = K.irreducible_basis(2, 2).bucket(top, top, 8)
     assert len(paths) == 1
     arrows = paths[0].arrows
@@ -600,7 +628,7 @@ def test_top_block_is_one_dimensional():
 
 def test_paths_beyond_twice_the_grading_vanish(sys22):
     qbar = sys22.quiver
-    top = comb.highest_weight(2, 2)
+    top = highest_weight(2, 2)
     long_path = K.irreducible_basis(2, 2).bucket(top, top, 8)[0]
     for arrow in qbar.out[long_path.end]:
         extended = make_path(qbar, list(long_path.arrows) + [arrow.name])
