@@ -118,29 +118,44 @@ def idempotent(lam: str) -> ArcDiagram:
     return ArcDiagram(lam, lam, lam)
 
 
-@lru_cache(maxsize=None)
-def _orientation_table(m: int, n: int) -> dict[str, tuple[tuple[str, int], ...]]:
-    """For every weight lam of type (m, n), the shapes whose cup diagram
-    lam orients, canonically ordered, each with its clockwise cup count.
+def _orientations(m: int, n: int):
+    """Every pair (shape, lam) with lam orienting the cup diagram of
+    shape, shape by shape in canonical order, as (mask, shape, cw): bit
+    p of mask is set when lam carries an up mark at p, and cw counts the
+    clockwise cups.
 
     Built from the shape side: a cup diagram with k cups is oriented by
     exactly 2**k weights.  Each cup reads v^ (counterclockwise) or ^v
     (clockwise), and the ray marks are forced to ^...^v...v with n - k
     up marks, since the cups use up k marks of each kind.
     """
-    shapes = comb.enumerate_weights(m, n)
-    table: dict[str, list] = {lam: [] for lam in shapes}
-    for a in shapes:
+    for a in comb.enumerate_weights(m, n):
         diagram = cup_matching(a)
         k = len(diagram.cups)
-        marks = [DOWN] * (m + n)
-        for t, p in enumerate(diagram.rays):
-            marks[p] = UP if t < n - k else DOWN
-        for bits in range(1 << k):
-            for c, (i, j) in enumerate(diagram.cups):
-                marks[i], marks[j] = (UP, DOWN) if bits >> c & 1 else (DOWN, UP)
-            table["".join(marks)].append((a, bits.bit_count()))
-    return {lam: tuple(entries) for lam, entries in table.items()}
+        orientations = [(sum(1 << p for p in diagram.rays[: n - k]), 0)]
+        for i, j in diagram.cups:
+            # v^ puts the up mark at j, ^v (clockwise) at i
+            orientations = [(mask | 1 << j, cw) for mask, cw in orientations] + [
+                (mask | 1 << i, cw + 1) for mask, cw in orientations
+            ]
+        for mask, cw in orientations:
+            yield mask, a, cw
+
+
+@lru_cache(maxsize=None)
+def _orientation_table(m: int, n: int) -> dict[str, tuple[tuple[str, int], ...]]:
+    """For every weight lam of type (m, n), the shapes whose cup diagram
+    lam orients, canonically ordered, each with its clockwise cup count."""
+    table: dict[int, list] = {
+        sum(1 << p for p, c in enumerate(lam) if c == UP): []
+        for lam in comb.enumerate_weights(m, n)
+    }
+    for mask, a, cw in _orientations(m, n):
+        table[mask].append((a, cw))
+    return {
+        lam: tuple(entries)
+        for lam, entries in zip(comb.enumerate_weights(m, n), table.values())
+    }
 
 
 def oriented_shapes(lam: str) -> tuple[str, ...]:
@@ -179,10 +194,13 @@ def graded_dimension(m: int, n: int) -> dict[int, int]:
     """Basis diagrams of type (m, n) counted by degree, without building
     them.  Cups and caps of (a|lam|b) range independently over the shapes
     lam orients, so the Poincare polynomial is sum over lam of P_lam(q)**2
-    with P_lam(q) = sum of q**cw(a, lam) over those shapes a."""
+    with P_lam(q) = sum of q**cw(a, lam) over those shapes a.  Only the
+    coefficients of each P_lam are held, never the shapes."""
+    polys: dict[int, Counter] = defaultdict(Counter)
+    for mask, _, cw in _orientations(m, n):
+        polys[mask][cw] += 1
     hist: Counter = Counter()
-    for entries in _orientation_table(m, n).values():
-        poly = Counter(cw for _, cw in entries)
+    for poly in polys.values():
         for i, ci in poly.items():
             for j, cj in poly.items():
                 hist[i + j] += ci * cj
@@ -206,7 +224,8 @@ def block_dimensions(m: int, n: int, max_degree: int) -> dict[tuple[int, str, st
 
 
 def dimension(m: int, n: int) -> int:
-    return sum(len(entries) ** 2 for entries in _orientation_table(m, n).values())
+    counts = Counter(mask for mask, _, _ in _orientations(m, n))
+    return sum(c * c for c in counts.values())
 
 
 def unit(m: int, n: int) -> dict[ArcDiagram, int]:

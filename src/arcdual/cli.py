@@ -5,6 +5,8 @@ output: rerunning a command gives byte-identical stdout.  Timings and
 diagnostics go to stderr.  Exit codes: 0 success, 1 certification
 failure (with the witness printed), 2 usage error, 3 capacity, fuel or
 memory exhaustion.  Rational numbers appear in JSON as strings "p/q".
+Each verb imports the library layers it reads, so `dim` never loads
+the presentation, the dual or the Hochschild layer.
 """
 
 import argparse
@@ -13,18 +15,12 @@ import sys
 import time
 from fractions import Fraction
 
-from . import arc_algebra
-from . import combinatorics as comb
-from . import hochschild as hh
-from . import koszul
-from . import linalg
-from . import presentation
-from . import rewrite as rw
 from .errors import CapacityError, CertificationError, FuelError
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, ensure_ascii=False))
+    json.dump(obj, sys.stdout, indent=2, ensure_ascii=False)
+    sys.stdout.write("\n")
 
 
 def _usage(message: str) -> int:
@@ -37,6 +33,9 @@ def _usage(message: str) -> int:
 
 
 def cmd_weights(args) -> int:
+    from . import combinatorics as comb
+    from . import presentation
+
     weights = sorted(
         comb.enumerate_weights(args.m, args.n), key=presentation.vertex_order
     )
@@ -49,6 +48,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    from . import arc_algebra
+
     graded = arc_algebra.graded_dimension(args.m, args.n)
     total = sum(graded.values())
     if args.json:
@@ -68,6 +69,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    from . import presentation
+
     quiver = presentation.build_quiver(args.m, args.n, dual=args.dual)
     if args.dot:
         sys.stdout.write(presentation.quiver_dot(quiver))
@@ -111,6 +114,9 @@ def _linear_string(paths, row) -> str:
 
 
 def cmd_relations(args) -> int:
+    from . import linalg
+    from . import presentation
+
     relations = presentation.relations_K(args.m, args.n)
     if args.json:
         _emit_json(presentation.relations_json(relations))
@@ -142,6 +148,8 @@ def _rhs_string(rule) -> str:
 
 
 def cmd_reduction_system(args) -> int:
+    from . import koszul
+
     system = koszul.reduction_system(args.m, args.n)
     if args.json:
         _emit_json(koszul.reduction_system_json(system))
@@ -162,6 +170,8 @@ def _json_number(text: str) -> Fraction:
 
 
 def _load_deformation(path_name: str, quiver):
+    from . import rewrite as rw
+
     with open(path_name, encoding="utf-8") as handle:
         data = json.load(handle, parse_float=_json_number)
     assignment = {}
@@ -175,6 +185,9 @@ def _load_deformation(path_name: str, quiver):
 
 
 def cmd_diamond(args) -> int:
+    from . import koszul
+    from . import rewrite as rw
+
     system = koszul.reduction_system(args.m, args.n)
     if args.deformed:
         try:
@@ -195,6 +208,10 @@ def cmd_diamond(args) -> int:
 
 
 def cmd_kl(args) -> int:
+    from . import combinatorics as comb
+    from . import koszul
+    from . import presentation
+
     weights = sorted(
         comb.enumerate_weights(args.m, args.n), key=presentation.vertex_order
     )
@@ -224,6 +241,8 @@ def cmd_kl(args) -> int:
 
 
 def cmd_hh2(args) -> int:
+    from . import hochschild as hh
+
     if args.oracle == "bar":
         dim = hh.hh2_bar_oracle(args.m, args.n, args.adams)
         if args.json:
@@ -267,6 +286,8 @@ def cmd_hh2(args) -> int:
 
 
 def cmd_hh2_table(args) -> int:
+    from . import hochschild as hh
+
     for q in hh.adams_degrees(args.m, args.n):
         started = time.perf_counter()
         dim = hh.hh2_dim(args.m, args.n, q)
@@ -276,6 +297,9 @@ def cmd_hh2_table(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    from . import hochschild as hh
+    from . import koszul
+
     try:
         scale = Fraction(args.alpha2)
     except (ValueError, ZeroDivisionError):
@@ -309,6 +333,10 @@ def cmd_deform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import hochschild as hh
+    from . import koszul
+    from . import presentation
+
     m, n = args.m, args.n
     hh.bar_capacity()  # a bad ARCDUAL_BAR_CAPACITY fails before any work
 

@@ -53,6 +53,20 @@ def test_graded_dimension_counts_the_enumerated_basis():
         assert alg.dimension(m, n) == len(alg.enumerate_basis(m, n)), (m, n)
 
 
+@pytest.mark.parametrize("m, n", [(7, 6), (7, 7)])
+def test_graded_dimension_counts_the_orientation_table(m, n):
+    # beyond enumeration: graded_dimension and dimension count straight
+    # from _orientations, while the table is the other reader of that rule
+    histogram = Counter()
+    for entries in alg._orientation_table(m, n).values():
+        poly = Counter(cw for _, cw in entries)
+        for ca, na in poly.items():
+            for cb, nb in poly.items():
+                histogram[ca + cb] += na * nb
+    assert alg.graded_dimension(m, n) == dict(sorted(histogram.items()))
+    assert alg.dimension(m, n) == alg.dimension(n, m) == sum(histogram.values())
+
+
 def test_block_dimensions_count_the_enumerated_basis():
     # the low-degree blocks verify_rho compares, without building diagrams
     for m, n in _splits(7):

@@ -200,7 +200,7 @@ def test_out_of_memory_is_a_resource_exit(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli.hh, "hh2_bar_oracle", exhausted)
+    monkeypatch.setattr(hh, "hh2_bar_oracle", exhausted)
     code, out, err = run(capsys, "hh2", "2", "2", "--adams", "0", "--oracle", "bar")
     assert code == 3
     assert out == ""

@@ -5,7 +5,9 @@ At (2,4), the smallest golden size whose reduction system has left-hand
 sides of lengths 2, 3 and 4, the rewriting and HH^2 verbs are pinned as
 well.  `deform 2 2 --alpha2 2/3` pins a deformation with a non-integral
 parameter, and `reduction-system 3 3` the smallest size whose rules
-carry the coefficient 2.
+carry the coefficient 2.  `dim 6 5` and `dim 7 7` (text and JSON) pin
+every graded coefficient at the sizes the benchmark and the README
+quote.
 
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
@@ -56,6 +58,9 @@ COMMANDS = [
     ("hh2", "2", "4", "--adams", "10", "--json"),
     ("deform", "2", "2", "--alpha2", "2/3", "--emit-relations"),
     ("reduction-system", "3", "3"),
+    ("dim", "6", "5"),
+    ("dim", "7", "7"),
+    ("dim", "7", "7", "--json"),
 ]
 
 

@@ -6,7 +6,9 @@ the package is paid on every call.  Decorating frozen dataclasses cost
 most of it, and importing `dataclasses` pulls in `inspect`.  The value
 types are NamedTuples instead: equality and hashing run on C tuples.
 This file pins their contract (immutable fields, equality and hash on
-the fields, unchanged reprs and defaults) and guards the import.
+the fields, unchanged reprs and defaults) and guards the import: the
+CLI loads no library layer until a verb runs, and `dim` loads only the
+arc diagram layers.
 """
 
 import ast
@@ -171,17 +173,35 @@ def test_module_imports_no_dataclasses(path):
     assert dataclass_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+LAYERS = {f"arcdual.{m}" for m in ("hochschild", "koszul", "rewrite", "presentation")}
+IMPORT_PROBES = {
+    "import-cli": ("import arcdual.cli", {"dataclasses", "inspect"}),
+    # each verb imports the library layers it reads, and only when run
+    "import-cli-layers": ("import arcdual.cli", LAYERS | {"arcdual.linalg"}),
+    # `dim` counts from the arc diagrams alone
+    "dim-6-5": (
+        "import io\n"
+        "import arcdual.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "arcdual.cli.main(['dim', '6', '5'])\n",
+        LAYERS,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", IMPORT_PROBES)
+def test_cli_import_loads_neither_dataclasses_nor_inspect(case):
+    run, watch = IMPORT_PROBES[case]
     # a fresh process with the environment the benchmark gives its ops
     env = {k: v for k, v in os.environ.items() if not k.startswith(("ARCDUAL_", "PYTHON"))}
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONHASHSEED"] = "0"
     probe = (
         "import sys\n"
-        "watch = {'dataclasses', 'inspect'}\n"
-        "before = watch & set(sys.modules)\n"
-        "import arcdual.cli\n"
-        "print(sorted((watch & set(sys.modules)) - before))\n"
+        f"watch = {sorted(watch)!r}\n"
+        "before = set(watch) & set(sys.modules)\n"
+        f"{run}\n"
+        "print(sorted((set(watch) & set(sys.modules)) - before), file=sys.__stdout__)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
