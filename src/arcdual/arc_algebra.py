@@ -450,8 +450,7 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, int]:
     return result
 
 
-@lru_cache(maxsize=None)
-def multiply_diagrams(
+def diagram_product(
     a: ArcDiagram, b: ArcDiagram
 ) -> tuple[tuple[ArcDiagram, int], ...]:
     """Product of two basis diagrams as a sorted tuple of (diagram, coeff).
@@ -467,14 +466,20 @@ def multiply_diagrams(
     return tuple(sorted(result.items(), key=lambda kv: diagram_sort_key(kv[0])))
 
 
+# The memoised product, for callers that read a pair again (the
+# associativity tests).  `multiply` does not: the relations of K(m, n)
+# take each product once, so holding them would only cost memory.
+multiply_diagrams = lru_cache(maxsize=None)(diagram_product)
+
+
 def multiply(
     x: dict[ArcDiagram, Fraction], y: dict[ArcDiagram, Fraction]
 ) -> dict[ArcDiagram, Fraction]:
-    """Bilinear extension of the diagram product."""
+    """Bilinear extension of the diagram product, not memoised."""
     out: dict[ArcDiagram, Fraction] = {}
     for da, ca in x.items():
         for db, cb in y.items():
-            for d, c in multiply_diagrams(da, db):
+            for d, c in diagram_product(da, db):
                 add_term(out, d, ca * cb * c)
     return out
 

@@ -6,7 +6,8 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 certification
 failure (with the witness printed), 2 usage error, 3 capacity, fuel or
 memory exhaustion.  Rational numbers appear in JSON as strings "p/q".
 Each verb imports the library layers it reads, so `dim` never loads
-the presentation, the dual or the Hochschild layer.
+the presentation, the dual or the Hochschild layer, and `weights`
+loads `combinatorics` alone.
 """
 
 import argparse
@@ -34,11 +35,8 @@ def _usage(message: str) -> int:
 
 def cmd_weights(args) -> int:
     from . import combinatorics as comb
-    from . import presentation
 
-    weights = sorted(
-        comb.enumerate_weights(args.m, args.n), key=presentation.vertex_order
-    )
+    weights = sorted(comb.enumerate_weights(args.m, args.n), key=comb.vertex_order)
     if args.json:
         _emit_json({"m": args.m, "n": args.n, "weights": list(weights)})
     else:
@@ -69,6 +67,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    from . import combinatorics as comb
     from . import presentation
 
     quiver = presentation.build_quiver(args.m, args.n, dual=args.dual)
@@ -80,7 +79,7 @@ def cmd_quiver(args) -> int:
             "m": args.m,
             "n": args.n,
             "dual": quiver.dual,
-            "vertices": sorted(quiver.vertices, key=presentation.vertex_order),
+            "vertices": sorted(quiver.vertices, key=comb.vertex_order),
             "arrows": [
                 {
                     "name": a.name,
@@ -210,11 +209,8 @@ def cmd_diamond(args) -> int:
 def cmd_kl(args) -> int:
     from . import combinatorics as comb
     from . import koszul
-    from . import presentation
 
-    weights = sorted(
-        comb.enumerate_weights(args.m, args.n), key=presentation.vertex_order
-    )
+    weights = sorted(comb.enumerate_weights(args.m, args.n), key=comb.vertex_order)
     entries = []
     for lam in weights:
         for mu in weights:

@@ -83,6 +83,11 @@ def sort_key(w: str):
     return height(w), tuple(0 if c == DOWN else 1 for c in w)
 
 
+def vertex_order(w: str):
+    """Sort key for weights and vertices: by height, then by name."""
+    return (height(w), w)
+
+
 def enumerate_weights(m: int, n: int) -> tuple[str, ...]:
     """All weights of type (m, n) in canonical order."""
     if m < 0 or n < 0:

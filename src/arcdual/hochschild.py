@@ -57,8 +57,10 @@ class Cochain1(NamedTuple):
     path: Path
 
 
-@lru_cache(maxsize=None)
 def _nf_terms(m: int, n: int, path: Path):
+    """The normal form of `path` as sorted (path, coeff) terms.  Not
+    memoised: each caller keeps only integer-indexed entries of it, and
+    few inserted paths recur."""
     return tuple(rw.sorted_terms(rw.normal_form(path, reduction_system(m, n))))
 
 
@@ -116,8 +118,9 @@ class ConstraintSystem(NamedTuple):
 
 
 def _confluent_resolution(m: int, n: int):
-    """The rule applications of `dual_resolution(m, n)`, per overlap.
-    CertificationError if the dual system is not confluent."""
+    """The rule applications of `dual_resolution(m, n)`, one flat tuple
+    (lhs, factor, prefix, suffix, ...) per overlap.  CertificationError
+    if the dual system is not confluent."""
     diamond, applications = dual_resolution(m, n)
     if not diamond.ok:
         raise CertificationError(
@@ -142,7 +145,7 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
     vectors = []
     for o_idx, events in enumerate(applications):
         acc: dict = {}
-        for lhs, factor, pre, suf in events:
+        for lhs, factor, pre, suf in _runs(events, 4):
             for j, p in by_lhs.get(lhs, ()):
                 inserted = Path(pre.start, pre.arrows + p.arrows + suf.arrows, suf.end)
                 for t, c in _nf_terms(m, n, inserted):
@@ -161,17 +164,16 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
 @lru_cache(maxsize=None)
 def _insertion_slots(m: int, n: int):
     """Arrow occurrences in the two-sided relation lhs - rhs of every
-    rule, keyed by arrow name.  Coboundaries substitute a 1-cochain
-    value into each occurrence."""
+    rule, keyed by arrow name, as (lhs, coeff, term, position): the
+    arrow at `position` of the path `term`.  Coboundaries substitute a
+    1-cochain value into each occurrence."""
     system = reduction_system(m, n)
     slots: dict = {}
     for rule in system.rules:
         terms = [(rule.lhs, 1)] + [(p, -c) for p, c in rule.rhs]
         for w, coeff in terms:
             for i, name in enumerate(w.arrows):
-                slots.setdefault(name, []).append(
-                    (rule.lhs.arrows, coeff, w.arrows[:i], w.arrows[i + 1 :], w.start, w.end)
-                )
+                slots.setdefault(name, []).append((rule.lhs.arrows, coeff, w, i))
     return {k: tuple(v) for k, v in slots.items()}
 
 
@@ -186,8 +188,8 @@ def coboundary_matrix(m: int, n: int, q: int) -> ConstraintSystem:
     cols = tuple({} for _ in basis1)
     slots = _insertion_slots(m, n)
     for col, c1 in zip(cols, basis1):
-        for lhs, coeff, pre, suf, start, end in slots.get(c1.arrow, ()):
-            inserted = Path(start, pre + c1.path.arrows + suf, end)
+        for lhs, coeff, w, k in slots.get(c1.arrow, ()):
+            inserted = Path(w.start, w.arrows[:k] + c1.path.arrows + w.arrows[k + 1 :], w.end)
             for t, c in _nf_terms(m, n, inserted):
                 i = index2.get((lhs, t))
                 if i is None:
@@ -644,7 +646,8 @@ def _bar_data(m: int, n: int):
         p = paths[v]
         a = arrows[p.arrows[-1]]
         accs: dict = {}
-        for u, t, c in _triples(left[index[Path(p.start, p.arrows[:-1], paths[a].start)]]):
+        prefix = index[Path(p.start, p.arrows[:-1], paths[a].start)]
+        for u, t, c in _runs(left[prefix], 3):
             acc = accs.setdefault(u, {})
             if v == a:
                 for s, g in _nf_terms(m, n, rw.compose(paths[u], p)):
@@ -661,15 +664,15 @@ def _bar_data(m: int, n: int):
                 right[u] += (v, t, c)
     containing: list = [[] for _ in paths]
     for u in pos:
-        for v, t, c in _triples(right[u]):
+        for v, t, c in _runs(right[u], 3):
             containing[t] += (u, v, c)
     return paths, pos, by_start, buckets, left, right, containing
 
 
-def _triples(flat):
-    """The consecutive triples of a flat list."""
+def _runs(flat, width: int):
+    """The consecutive runs of `width` entries of a flat sequence."""
     it = iter(flat)
-    return zip(it, it, it)
+    return zip(*[it] * width)
 
 
 def _radix_key(digits, base: int) -> int:
@@ -721,15 +724,15 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
 
     def column(word, w):
         col: dict = {}
-        for a, t, c in _triples(left[w]):
+        for a, t, c in _runs(left[w], 3):
             rw.add_term(col, _radix_key((a, *word, t), base), c)
         for i, x in enumerate(word):
             sign = (-1) ** (i + 1)
-            for a, b, g in _triples(containing[x]):
+            for a, b, g in _runs(containing[x], 3):
                 digits = (*word[:i], a, b, *word[i + 1 :], w)
                 rw.add_term(col, _radix_key(digits, base), sign * g)
         sign = (-1) ** (len(word) + 1)
-        for c_, t, c in _triples(right[w]):
+        for c_, t, c in _runs(right[w], 3):
             rw.add_term(col, _radix_key((*word, c_, t), base), sign * c)
         return col
 

@@ -331,14 +331,9 @@ def verify_rho(m: int, n: int) -> RhoReport:
     return RhoReport(not mismatches, checked, tuple(mismatches))
 
 
-def vertex_order(w: str):
-    """Sort key for weights and vertices: by height, then by name."""
-    return (comb.height(w), w)
-
-
 def quiver_dot(quiver: Quiver) -> str:
     lines = ["digraph quiver {"]
-    for v in sorted(quiver.vertices, key=vertex_order):
+    for v in sorted(quiver.vertices, key=comb.vertex_order):
         lines.append(f'  "{v}";')
     for a in sorted(quiver.arrows, key=lambda a: a.name):
         lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.name}"];')

@@ -358,13 +358,12 @@ def test_bad_fuel_is_usage_error(capsys, verb, value):
 
 @pytest.fixture
 def fresh_resolution():
-    """Drop the cached overlap resolution, the normal forms and the HH^2
-    results read off them, before and after the test."""
+    """Drop the cached overlap resolution and the HH^2 results read off
+    it, before and after the test."""
     caches = (
         koszul.dual_resolution,
         hh.cocycle_constraints,
         hh.hh2_certificate,
-        hh._nf_terms,
         hh._bar_data,
     )
     for cache in caches:

@@ -3,7 +3,8 @@
 The bar oracle is pinned at (2,2) in Adams degrees -2 (JSON), 0 and 2.
 At (2,4), the smallest golden size whose reduction system has left-hand
 sides of lengths 2, 3 and 4, the rewriting and HH^2 verbs are pinned as
-well.  `deform 2 2 --alpha2 2/3` pins a deformation with a non-integral
+well.  `hh2-table 3 3` pins every tabulated degree at (3, 3).
+`deform 2 2 --alpha2 2/3` pins a deformation with a non-integral
 parameter, and `reduction-system 3 3` the smallest size whose rules
 carry the coefficient 2.  `dim 6 5` and `dim 7 7` (text and JSON) pin
 every graded coefficient at the sizes the benchmark and the README
@@ -55,6 +56,7 @@ COMMANDS = [
     ("deform", "2", "4", "--emit-relations"),
     ("verify", "2", "4"),
     ("hh2-table", "2", "4"),
+    ("hh2-table", "3", "3"),
     ("hh2", "2", "4", "--adams", "10", "--json"),
     ("deform", "2", "2", "--alpha2", "2/3", "--emit-relations"),
     ("reduction-system", "3", "3"),

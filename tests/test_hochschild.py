@@ -6,6 +6,7 @@ Larger sizes are pinned by the graded KL dimension identity and by the
 independent bar-complex oracle.
 """
 
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from arcdual import hochschild as hh
 from arcdual import linalg
 from arcdual import rewrite as rw
 from arcdual.errors import CapacityError, CertificationError
-from arcdual.koszul import irreducible_basis, reduction_system
+from arcdual.koszul import dual_resolution, irreducible_basis, reduction_system
 from reference import basis_counts
 from test_rewrite import A, path
 
@@ -454,11 +455,37 @@ def test_radix_key_keeps_the_tuple_order(data):
     assert (x == y) == (hh._radix_key(x, base) == hh._radix_key(y, base))
 
 
+def test_certificate_keeps_no_normal_form():
+    # with the resolution warm, hh2_certificate(3, 3, 8) left 1.01 MB held
+    # while every normal form it read was memoised, and 0.20 MB without
+    dual_resolution(3, 3)
+    irreducible_basis(3, 3)
+    for cache in (
+        hh.cochain2_basis,
+        hh.cochain1_basis,
+        hh.cocycle_constraints,
+        hh._insertion_slots,
+        hh.coboundary_matrix,
+        hh.alpha_basis,
+        hh.hh2_certificate,
+    ):
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cert = hh.hh2_certificate(3, 3, 8)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.dimension == 3
+    assert held < 400_000
+
+
 def test_bar_table_is_compact():
     # (3, 2) held 3.27 MB with every product as a tuple of (t, c) tuples,
     # and 1.26 MB as flat triples, with the arrow products dropped
     irreducible_basis(3, 2)
-    hh._nf_terms.cache_clear()
     tracemalloc.start()
     try:
         hh._bar_data.__wrapped__(3, 2)
@@ -484,13 +511,19 @@ def test_bar_oracle_peak_memory(monkeypatch):
     assert peak < 2_600_000
 
 
-def test_bar_product_table_rewrites_arrow_products_only():
-    hh._bar_data.cache_clear()
-    hh._nf_terms.cache_clear()
-    paths, pos = hh._bar_data(3, 2)[:2]
+def test_bar_product_table_rewrites_arrow_products_only(monkeypatch):
+    computed = []
+    original = hh._nf_terms
+
+    def counting(m, n, path):
+        computed.append(path)
+        return original(m, n, path)
+
+    monkeypatch.setattr(hh, "_nf_terms", counting)
+    paths, pos = hh._bar_data.__wrapped__(3, 2)[:2]
     quiver = reduction_system(3, 2).quiver
     arrow_products = sum(len(quiver.out[paths[i].end]) for i in pos)
-    assert 0 < hh._nf_terms.cache_info().currsize <= arrow_products
+    assert 0 < len(computed) <= arrow_products
 
 
 def test_bar_oracle_capacity(monkeypatch):

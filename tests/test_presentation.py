@@ -272,3 +272,11 @@ def test_relations_json_integer_rows():
     by_block = {(b["source"], b["target"]): b for b in data}
     assert by_block[("v^^v", "^^vv")]["rows"] == [[1]]
     assert by_block[("vv^^", "v^^v")]["rows"] == [[1, -1]]
+
+
+def test_relations_hold_no_diagram_product():
+    # each product of the relations is taken once, so none is memoised
+    alg.multiply_diagrams.cache_clear()
+    relations = P.relations_K.__wrapped__(3, 2)
+    assert alg.multiply_diagrams.cache_info().currsize == 0
+    assert relations == P.relations_K(3, 2)

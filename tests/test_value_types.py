@@ -186,6 +186,14 @@ IMPORT_PROBES = {
         "arcdual.cli.main(['dim', '6', '5'])\n",
         LAYERS,
     ),
+    # `weights` sorts by `combinatorics.vertex_order` and reads nothing else
+    "weights-3-2": (
+        "import io\n"
+        "import arcdual.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "arcdual.cli.main(['weights', '3', '2'])\n",
+        LAYERS | {"arcdual.arc_algebra", "arcdual.linalg"},
+    ),
 }
 
 
