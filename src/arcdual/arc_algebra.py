@@ -244,36 +244,67 @@ def involution(x: dict[ArcDiagram, Fraction]) -> dict[ArcDiagram, Fraction]:
 # ---------------------------------------------------------------------------
 # Surgery engine.
 #
-# Nodes are (level, position) with level 0 on the lower weight line and
-# level 1 on the upper one.  Every node meets exactly two arcs, counting a
-# ray once, so components are paths (lines) or cycles (circles).  The
-# picture is kept as a node-adjacency map: each node lists its two
-# neighbours, None standing for the open end of a ray.  A surgery step
-# rewires the four nodes of one glue pair into two verticals and re-traces
-# only the components through those nodes; every other component, and its
-# entries in the node-to-component map, is left as it is.
+# The 2N nodes of the stacked picture are integers: position p is node p
+# on the lower weight line and node N + p on the upper one.  Every node
+# meets exactly two arcs, counting a ray once, so components are paths
+# (lines) or cycles (circles).  The picture is held as two flat lists
+# over the nodes: `outer[v]` is the other end of v's cup (lower line) or
+# cap (upper line), -1 for the open end of a ray, and `inner[v]` the
+# other end of v's arc in the middle band, a glue arc or a vertical, so
+# a walk alternates the two.  Both are read off the cached partner
+# tables of the three cup diagrams.  A component is keyed by its least
+# node, an int, and a state of the circles is one int bitmask over their
+# keys, bit k set when the circle keyed k is counterclockwise; merges and
+# splits clear and set bits.  A surgery step turns the two glue arcs at
+# one pair into two verticals and re-traces only the components through
+# its four nodes.
 
 
-class _Component(NamedTuple):
-    nodes: frozenset
-    ray_nodes: tuple
-    is_line: bool
+@lru_cache(maxsize=None)
+def _outer_links(shape: str, offset: int) -> tuple[int, ...]:
+    """For each position of the cup diagram of shape, offset plus the
+    other end of its cup, or -1 at a ray."""
+    partner = [-1] * len(shape)
+    for i, j in cup_matching(shape).cups:
+        partner[i], partner[j] = offset + j, offset + i
+    return tuple(partner)
 
 
-def _trace(adjacency: dict, start) -> _Component:
-    """The component through start, walked both ways from it."""
-    nodes, rays = {start}, []
-    for first in adjacency[start]:
-        prev, cur = start, first
-        while cur is not None and cur != start:
-            nodes.add(cur)
-            left, right = adjacency[cur]
-            prev, cur = cur, right if left == prev else left
-        if cur is not None:
-            break  # back at start: a circle, walked once round
-        rays.append(prev)
-    assert len(rays) in (0, 2)
-    return _Component(frozenset(nodes), tuple(sorted(rays)), bool(rays))
+@lru_cache(maxsize=None)
+def _glue_links(glue: str) -> tuple[int, ...]:
+    """The middle band before surgery, for each of the 2N nodes: the
+    other end of its glue cap (lower line) or cup (upper line), or at a
+    ray of glue the node facing it on the other line."""
+    N = len(glue)
+    links = [p + N for p in range(N)] + list(range(N))
+    for i, j in cup_matching(glue).cups:
+        links[i], links[j], links[N + i], links[N + j] = j, i, N + j, N + i
+    return tuple(links)
+
+
+def _trace(outer: list, inner: list, start: int) -> tuple[list, tuple]:
+    """The nodes of the component through start, walked both ways from
+    it, and its two ray nodes in order (none for a circle)."""
+    nodes = [start]
+    v = start
+    while True:
+        u = outer[v]
+        if u < 0:
+            break
+        v = inner[u]
+        nodes.append(u)
+        if v == start:
+            return nodes, ()  # back at start: a circle, walked once round
+        nodes.append(v)
+    end = v
+    v = start
+    while True:
+        u = inner[v]
+        nodes.append(u)
+        v = outer[u]
+        if v < 0:
+            return nodes, (end, u) if end < u else (u, end)
+        nodes.append(v)
 
 
 def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, int]:
@@ -284,135 +315,103 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, int]:
     again, and the node-to-component map is updated for them alone."""
     glue = a.cap_weight
     lam, mu = a.mid_weight, b.mid_weight
+    N = len(lam)
     mid = cup_matching(glue)
     for p in mid.rays:
         assert lam[p] == mu[p]
+    marks = lam + mu  # the mark at each node
+    outer = _outer_links(a.cup_weight, 0) + _outer_links(b.cap_weight, N)
+    inner = list(_glue_links(glue))
+    # the key of each node's component, -1 while it awaits tracing, and
+    # the ray nodes of each line by its key
+    component = [-1] * (2 * N)
+    lines: dict[int, tuple] = {}
 
-    def mark(node) -> str:
-        level, pos = node
-        return lam[pos] if level == 0 else mu[pos]
+    # Lines carry no state, their rays keep their marks forever.  The
+    # leftmost crossing of a circle with the lower weight line, or with
+    # the upper one if it misses the lower, is its least node, the first
+    # met in node order; it points down exactly when the circle is
+    # counterclockwise.
+    def retrace(start: int) -> int:
+        nodes, rays = _trace(outer, inner, start)
+        key = min(nodes)
+        for v in nodes:
+            component[v] = key
+        if rays:
+            lines[key] = rays
+        return key
 
-    def is_ccw(component: _Component) -> bool:
-        # The leftmost crossing of a circle with the lower weight line, or
-        # with the upper one if it misses the lower (nodes order by level
-        # first), points down exactly when the circle is counterclockwise.
-        return mark(min(component.nodes)) == DOWN
-
-    adjacency = defaultdict(list)
-    for level, shape in ((0, a.cup_weight), (1, b.cap_weight)):
-        outer = cup_matching(shape)
-        for i, j in outer.cups + mid.cups:
-            adjacency[(level, i)].append((level, j))
-            adjacency[(level, j)].append((level, i))
-        for p in outer.rays:
-            adjacency[(level, p)].append(None)
-    for p in mid.rays:
-        adjacency[(0, p)].append((1, p))
-        adjacency[(1, p)].append((0, p))
-    assert all(len(ends) == 2 for ends in adjacency.values())
-    component: dict = {}
-
-    def retrace(nodes) -> list[_Component]:
-        traced, seen = [], set()
-        for node in nodes:
-            if node not in seen:
-                c = _trace(adjacency, node)
-                traced.append(c)
-                seen |= c.nodes
-                component.update(dict.fromkeys(c.nodes, c))
-        return traced
-
-    # A state assigns each circle its label (True = counterclockwise);
-    # lines carry no state, their rays keep their marks forever.
-    init = frozenset(
-        (c.nodes, is_ccw(c)) for c in retrace(list(adjacency)) if not c.is_line
-    )
-    states: dict[frozenset, int] = {init: 1}
+    init = 0
+    for node in range(2 * N):
+        if component[node] < 0:
+            key = retrace(node)
+            if key not in lines and marks[key] == DOWN:
+                init |= 1 << key
+    states: dict[int, int] = {init: 1}
 
     remaining = set(mid.cups)
     for pair in order:
         pair = tuple(pair)
         assert pair in remaining
-        assert not any(
-            comb.is_nested(pair, other) for other in remaining if other != pair
-        ), f"surgery at {pair} blocked by an enclosing unresolved pair"
-        remaining.discard(pair)
         i, j = pair
-        c_low = component[(0, i)]
-        c_high = component[(1, i)]
-        # the glue cup and cap at (i, j) become the verticals at i and j; a
-        # node whose other arc joins the same pair lists its partner twice,
-        # and either entry may go
-        touched = [(0, i), (0, j), (1, i), (1, j)]
-        for (level, p), partner in zip(touched, ((0, j), (0, i), (1, j), (1, i))):
-            ends = adjacency[(level, p)]
-            ends[ends.index(partner)] = (1 - level, p)
-        # every component meeting the four surgery nodes is newly formed:
-        # merges and splits always change node sets, and reconnected lines
-        # mix nodes of both inputs
-        fresh = retrace(touched)
+        assert len(remaining) == 1 or not any(o[0] < i and j < o[1] for o in remaining), (
+            f"surgery at {pair} blocked by an enclosing unresolved pair"
+        )
+        remaining.discard(pair)
+        c_low, c_high = component[i], component[N + i]
+        low_rays, high_rays = lines.pop(c_low, ()), lines.pop(c_high, ())
+        # the glue cup and cap at (i, j) become the verticals at i and j;
+        # every component meeting the four surgery nodes is newly formed
+        # (merges and splits always change node sets, and reconnected
+        # lines mix nodes of both inputs), and each holds i or j
+        inner[i], inner[j], inner[N + i], inner[N + j] = N + i, N + j, i, j
+        component[j] = -1
+        fresh = [retrace(i)]
+        if component[j] < 0:
+            fresh.append(retrace(j))
 
-        new_states: dict[frozenset, int] = {}
-
-        def emit(state: dict, coeff: int) -> None:
-            add_term(new_states, frozenset(state.items()), coeff)
-
-        if c_low is not c_high:
+        new_states: dict[int, int] = {}
+        if c_low != c_high:
             # merge
-            if not c_low.is_line and not c_high.is_line:
-                assert len(fresh) == 1 and not fresh[0].is_line
-                merged = fresh[0].nodes
+            if not low_rays and not high_rays:
+                assert len(fresh) == 1 and fresh[0] not in lines
+                pair_bits, merged = 1 << c_low | 1 << c_high, 1 << fresh[0]
                 for state, coeff in states.items():
-                    st = dict(state)
-                    l1 = st.pop(c_low.nodes)
-                    l2 = st.pop(c_high.nodes)
-                    if not l1 and not l2:
-                        continue
-                    st[merged] = l1 and l2
-                    emit(st, coeff)
-            elif c_low.is_line != c_high.is_line:
-                assert len(fresh) == 1 and fresh[0].is_line
-                circle = c_high if c_low.is_line else c_low
+                    labels = state & pair_bits
+                    if labels:
+                        rest = state ^ labels
+                        add_term(new_states, rest | merged if labels == pair_bits else rest, coeff)
+            elif bool(low_rays) != bool(high_rays):
+                assert len(fresh) == 1 and fresh[0] in lines
+                circle = 1 << (c_high if low_rays else c_low)
                 for state, coeff in states.items():
-                    st = dict(state)
-                    if not st.pop(circle.nodes):
-                        continue
-                    emit(st, coeff)
+                    if state & circle:
+                        new_states[state ^ circle] = coeff
             else:
                 # two lines reconnect into two lines
-                assert len(fresh) == 2 and all(c.is_line for c in fresh)
-                m1 = {mark(nd) for nd in c_low.ray_nodes}
-                m2 = {mark(nd) for nd in c_high.ray_nodes}
-                if {tuple(sorted(m1)), tuple(sorted(m2))} == {(UP,), (DOWN,)}:
-                    new_states = dict(states)
+                assert len(fresh) == 2 and fresh[0] in lines and fresh[1] in lines
+                ends = {marks[x] + marks[y] for x, y in (low_rays, high_rays)}
+                if ends == {UP + UP, DOWN + DOWN}:
+                    new_states = states
                 # otherwise every summand dies
         else:
             # split
-            parent = c_low
             assert len(fresh) == 2
-            if not parent.is_line:
-                assert all(not c.is_line for c in fresh)
-                k1, k2 = sorted((c.nodes for c in fresh), key=lambda k: min(k))
+            if not low_rays:
+                assert fresh[0] not in lines and fresh[1] not in lines
+                # the parent's key is the least node of both halves, so
+                # it keys one half and the other half's bit is clear in
+                # every state: no two summands collide
+                other = 1 << (fresh[1] if fresh[0] == c_low else fresh[0])
+                parent = 1 << c_low
                 for state, coeff in states.items():
-                    st = dict(state)
-                    if st.pop(parent.nodes):
-                        for ccw_first in (True, False):
-                            branch = dict(st)
-                            branch[k1] = ccw_first
-                            branch[k2] = not ccw_first
-                            emit(branch, coeff)
-                    else:
-                        st[k1] = False
-                        st[k2] = False
-                        emit(st, coeff)
+                    new_states[state] = coeff
+                    if state & parent:
+                        new_states[state ^ parent | other] = coeff
             else:
-                circles = [c for c in fresh if not c.is_line]
-                lines = [c for c in fresh if c.is_line]
-                assert len(circles) == 1 and len(lines) == 1
-                for state, coeff in states.items():
-                    st = dict(state)
-                    st[circles[0].nodes] = False
-                    emit(st, coeff)
+                assert (fresh[0] in lines) != (fresh[1] in lines)
+                # the pinched circle is clockwise: its bit stays clear
+                new_states = states
         states = new_states
         if not states:
             return {}
@@ -421,30 +420,35 @@ def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, int]:
 
     # Collapse the middle band: every position now carries a vertical, so
     # each component crosses both lines at the same sorted positions and
-    # its crossings alternate direction along them.
-    def flip(m: str) -> str:
-        return UP if m == DOWN else DOWN
-
-    components = set(component.values())
+    # its crossings alternate direction along them.  The lines fill a
+    # template once and each circle's positions are read off once; a
+    # state only picks the mark each circle starts with.
+    assert component[:N] == component[N:]
+    positions: dict[int, list] = {}
+    for p, key in enumerate(component[:N]):
+        positions.setdefault(key, []).append(p)
+    template: list = [None] * N
+    circles = []
+    circle_bits = 0
+    for key, low in positions.items():
+        if key in lines:
+            anchor, other = lines[key]
+            alternate = (marks[anchor], UP if marks[anchor] == DOWN else DOWN)
+            base = low.index(anchor % N)
+            for t, p in enumerate(low):
+                template[p] = alternate[(t - base) & 1]
+            assert template[other % N] == marks[other]
+        else:
+            circles.append((1 << key, low))
+            circle_bits |= 1 << key
     result: dict[ArcDiagram, int] = {}
     for state, coeff in states.items():
-        st = dict(state)
-        nu = [None] * len(lam)
-        for c in components:
-            low_positions = sorted(p for (level, p) in c.nodes if level == 0)
-            high_positions = sorted(p for (level, p) in c.nodes if level == 1)
-            assert low_positions == high_positions
-            if c.is_line:
-                anchor, other = c.ray_nodes
-                base = low_positions.index(anchor[1])
-                for t, p in enumerate(low_positions):
-                    nu[p] = mark(anchor) if (t - base) % 2 == 0 else flip(mark(anchor))
-                assert nu[other[1]] == mark(other)
-            else:
-                first = DOWN if st.pop(c.nodes) else UP
-                for t, p in enumerate(low_positions):
-                    nu[p] = first if t % 2 == 0 else flip(first)
-        assert not st
+        assert not state & ~circle_bits
+        nu = template[:]
+        for bit, low in circles:
+            alternate = (DOWN, UP) if state & bit else (UP, DOWN)
+            for t, p in enumerate(low):
+                nu[p] = alternate[t & 1]
         product = make_arc_diagram(a.cup_weight, "".join(nu), b.cap_weight)
         add_term(result, product, coeff)
     return result
@@ -462,8 +466,10 @@ def diagram_product(
     if a.cap_weight != b.cup_weight:
         return ()
     order = cup_matching(a.cap_weight).cups
-    result = _run_surgery(a, b, order)
-    return tuple(sorted(result.items(), key=lambda kv: diagram_sort_key(kv[0])))
+    terms = tuple(_run_surgery(a, b, order).items())
+    if len(terms) < 2:
+        return terms
+    return tuple(sorted(terms, key=lambda kv: diagram_sort_key(kv[0])))
 
 
 # The memoised product, for callers that read a pair again (the

@@ -4,10 +4,11 @@ Every verb maps onto one library operation and prints deterministic
 output: rerunning a command gives byte-identical stdout.  Timings and
 diagnostics go to stderr.  Exit codes: 0 success, 1 certification
 failure (with the witness printed), 2 usage error, 3 capacity, fuel or
-memory exhaustion.  Rational numbers appear in JSON as strings "p/q".
-Each verb imports the library layers it reads, so `dim` never loads
-the presentation, the dual or the Hochschild layer, and `weights`
-loads `combinatorics` alone.
+memory exhaustion, 141 (128 + SIGPIPE) when the reader closes stdout
+early, as in `arcdual relations 4 3 | head -1`.  Rational numbers
+appear in JSON as strings "p/q".  Each verb imports the library layers
+it reads, so `dim` never loads the presentation, the dual or the
+Hochschild layer, and `weights` loads `combinatorics` alone.
 """
 
 import argparse
@@ -488,6 +489,16 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at os.devnull so that the
+        # flush at exit cannot raise again, and exit as SIGPIPE would.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (CapacityError, FuelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         witness = getattr(exc, "witness", None)

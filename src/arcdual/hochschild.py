@@ -555,14 +555,7 @@ def deformed_algebra(m: int, n: int, cocycle) -> DeformationReport:
             "deformed system fails the diamond check to first order",
             witness={"failure": repr(order_one.failures[0])},
         )
-    merged_rules = []
-    for rule in deformed.rules:
-        merged: dict = {}
-        for p, c in rule.rhs + rule.rhs_t:
-            rw.add_term(merged, p, c)
-        merged_rules.append(rw.make_rule(rule.lhs, merged, None, rule.tag))
-    at_one_system = rw.ReductionSystem(base.quiver, tuple(merged_rules))
-    at_one = rw.check_diamond(at_one_system)
+    at_one = rw.check_diamond(deformed.at_parameter_one())
     if not at_one.ok:
         raise CertificationError(
             "deformed system fails the diamond check at parameter one",

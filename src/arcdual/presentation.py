@@ -268,34 +268,47 @@ def _structural_rows(quiver: Quiver, source: str, target: str, paths):
     return rows
 
 
+def _length_two_blocks(quiver: Quiver):
+    """Every nonempty (source, target, paths) of length-two paths, read
+    off in one sweep over the arrows: sources and targets in vertex
+    order, each block's paths ordered as `paths_of_length_two` orders
+    them."""
+    order = {v: i for i, v in enumerate(quiver.vertices)}
+    for s in quiver.vertices:
+        by_target: dict[str, list] = {}
+        for a in quiver.out[s]:
+            for b in quiver.out[a.target]:
+                by_target.setdefault(b.target, []).append((a, b))
+        for t in sorted(by_target, key=order.__getitem__):
+            paths = by_target[t]
+            paths.sort(key=lambda p: (p[0].name, p[1].name))
+            yield s, t, tuple(paths)
+
+
 @lru_cache(maxsize=None)
 def relations_K(m: int, n: int) -> RelationSet:
     """Quadratic relation spaces of the plain presentation, block by
     block, certified against the structural generating set."""
     quiver = build_quiver(m, n, dual=False)
     blocks = []
-    for s in quiver.vertices:
-        for t in quiver.vertices:
-            paths = paths_of_length_two(quiver, s, t)
-            if not paths:
-                continue
-            kernel = _kernel_rows(paths)
-            structural = _structural_rows(quiver, s, t, paths)
-            reduced, pivots = linalg.rref(kernel)
-            structural_rref = linalg.rref(structural)
-            if (reduced, pivots) != structural_rref:
-                raise CertificationError(
-                    f"relation block ({s}, {t}): structural generators do not "
-                    f"span the evaluation kernel",
-                    witness={
-                        "block": (s, t),
-                        "kernel_dim": len(reduced),
-                        "structural_dim": len(structural_rref[0]),
-                    },
-                )
-            blocks.append(
-                RelationBlock(s, t, paths, tuple(tuple(r) for r in reduced))
+    for s, t, paths in _length_two_blocks(quiver):
+        kernel = _kernel_rows(paths)
+        structural = _structural_rows(quiver, s, t, paths)
+        reduced, pivots = linalg.rref(kernel)
+        structural_rref = linalg.rref(structural)
+        if (reduced, pivots) != structural_rref:
+            raise CertificationError(
+                f"relation block ({s}, {t}): structural generators do not "
+                f"span the evaluation kernel",
+                witness={
+                    "block": (s, t),
+                    "kernel_dim": len(reduced),
+                    "structural_dim": len(structural_rref[0]),
+                },
             )
+        blocks.append(
+            RelationBlock(s, t, paths, tuple(tuple(r) for r in reduced))
+        )
     return RelationSet(False, tuple(blocks))
 
 

@@ -9,17 +9,31 @@ deterministic; confluence is exactly the resolvability of all overlap
 ambiguities, checked by comparing the two one-step resolutions of every
 overlap word.
 
+Rewriting runs on integers.  Each system numbers its arrows in name
+order (`ReductionSystem.kernel`), so a word is a tuple of arrow ids that
+compares as the tuple of names, and a term is keyed by (length, start,
+ids), which compares exactly as `path_key`: the work list is reduced
+smallest key first without a key function.  The left-hand sides are
+looked up by their first two arrows, and the redex scan resumes: a term
+made by rewriting at position i has no redex starting before
+i - (longest lhs - 1), since a redex wholly inside the untouched prefix
+would have been found first.  `Path`s and `Event`s are built only
+where a caller reads them.
+
 Rules may carry a first-order part rhs_t.  Over the dual numbers
 (t squared = 0) the rule lhs -> rhs + t * rhs_t acts on an overlap word
-as follows.  `resolve_overlap` is the one place that resolves an
+as follows.  `_resolve_pair` is the one place that resolves an
 overlap: each branch applies its own rule once and reduces the result,
-recording every rule application with its context (prefix, suffix) as
-an `Event`.  The order-zero normal form is the plain reduction; the
-order-one part is the sum of prefix * rhs_t * suffix over the events,
-reduced with the plain rules only.  `diamond_failure` compares the two
-branches' normal forms; since the events do not depend on rhs_t,
-anything linear in the deformation (the Hochschild cocycle constraints)
-is read off the events of one undeformed run (`koszul.dual_resolution`).
+recording every rule application with its context (prefix, suffix).
+The order-zero normal form is the plain reduction; the order-one part
+is the sum of prefix * rhs_t * suffix over the applications, reduced
+with the plain rules only.  `resolve_overlap` returns both branches
+with their applications as `Event`s, and `check_diamond` compares the
+branches' normal forms on integers, building paths only for a failure's
+witness (`diamond_failure`).  Since the applications do not depend on
+rhs_t, anything linear in the deformation (the Hochschild cocycle
+constraints) is read off the events of one undeformed run
+(`koszul.dual_resolution`).
 """
 
 from __future__ import annotations
@@ -133,32 +147,33 @@ def make_rule(lhs: Path, rhs, rhs_t=None, tag: str = "") -> Rule:
 
 
 class ReductionSystem:
-    """Validated rule set over a quiver; `by_lhs` maps each lhs arrow
-    tuple to its rule, and `lhs_lengths` lists the lengths it holds."""
+    """Validated rule set over a quiver; `lhs_lengths` lists the lengths
+    of its left-hand sides, and `kernel` holds the rules on integers."""
 
     def __init__(self, quiver: Quiver, rules):
         self.quiver = quiver
         self.rules = tuple(sorted(rules, key=lambda r: path_key(r.lhs)))
-        self.by_lhs: dict[tuple[str, ...], Rule] = {}
         self.lhs_lengths = tuple(sorted({len(r.lhs) for r in self.rules}))
         self._validate()
 
     def _validate(self):
+        seen = set()
         for r in self.rules:
             if len(r.lhs) < 2:
                 raise ValueError(f"lhs too short: {r.lhs!r}")
-            if r.lhs.arrows in self.by_lhs:
+            if r.lhs.arrows in seen:
                 raise ValueError(f"duplicate lhs {r.lhs!r}")
-            self.by_lhs[r.lhs.arrows] = r
+            seen.add(r.lhs.arrows)
             for part in (r.rhs, r.rhs_t):
                 for p, _ in part:
                     if (p.start, p.end) != (r.lhs.start, r.lhs.end):
                         raise ValueError(f"{p!r} not parallel to lhs {r.lhs!r}")
+        kernel = self.kernel
         for r in self.rules:
-            a = r.lhs.arrows
+            a = kernel.ids(r.lhs)
             segments = {a[i : i + k] for k in self.lhs_lengths
                         for i in range(len(a) - k + 1)}
-            inner = [self.by_lhs[x] for x in segments - {a} if x in self.by_lhs]
+            inner = [kernel.table[x][0] for x in segments - {a} if x in kernel.table]
             if inner:
                 s = min(inner, key=lambda t: path_key(t.lhs))
                 raise ValueError(f"lhs {s.lhs!r} occurs inside lhs {r.lhs!r}")
@@ -169,6 +184,17 @@ class ReductionSystem:
                         raise ValueError(f"reducible right hand side {p!r}")
 
     @cached_property
+    def by_lhs(self) -> dict[tuple[str, ...], Rule]:
+        """Each rule by the arrow names of its left-hand side, for
+        `rule_for`; built only when read, since rewriting reads `kernel`."""
+        return {r.lhs.arrows: r for r in self.rules}
+
+    @cached_property
+    def kernel(self) -> "_Kernel":
+        """The integer form of the rules that rewriting reads, built once."""
+        return _Kernel(self)
+
+    @cached_property
     def extension_tables(self) -> tuple:
         """What `irreducible_tree` extends paths with, built once: arrow
         names in name order and their targets; per vertex the indices of
@@ -176,22 +202,19 @@ class ReductionSystem:
         without completing a length-two left-hand side; and the longer
         left-hand sides by the index of their last arrow, each as the
         indices of the other arrows read backwards."""
-        by_name = self.quiver.by_name
-        names = tuple(sorted(by_name))
-        ident = {name: i for i, name in enumerate(names)}
-        targets = tuple(by_name[name].target for name in names)
+        kernel = self.kernel
+        names, targets, ident = kernel.names, kernel.targets, kernel.ident
         successors = {
             v: sorted(ident[a.name] for a in out) for v, out in self.quiver.out.items()
         }
         follow = [
-            [b for b in successors[targets[a]] if (names[a], names[b]) not in self.by_lhs]
+            [b for b in successors[targets[a]] if (a, b) not in kernel.table]
             for a in range(len(names))
         ]
         longer: dict[int, set] = {}
-        for lhs in self.by_lhs:
+        for lhs in kernel.table:
             if len(lhs) > 2:
-                back = tuple(ident[name] for name in reversed(lhs[:-1]))
-                longer.setdefault(ident[lhs[-1]], set()).add(back)
+                longer.setdefault(lhs[-1], set()).add(lhs[-2::-1])
         return names, targets, successors, follow, longer
 
     def rule_for(self, lhs_arrows: tuple[str, ...]) -> Rule:
@@ -215,26 +238,141 @@ class ReductionSystem:
                 rules.append(make_rule(r.lhs, r.rhs_comb(), table[r.lhs.arrows], r.tag))
             else:
                 rules.append(Rule(r.lhs, r.rhs, (), r.tag))
-        return ReductionSystem(self.quiver, rules)
+        return self._derived(rules)
+
+    def at_parameter_one(self) -> "ReductionSystem":
+        """Copy with each rule's deformation part merged into its
+        right-hand side: the deformation at parameter t = 1."""
+        rules = []
+        for r in self.rules:
+            merged: LinComb = {}
+            for p, c in r.rhs + r.rhs_t:
+                add_term(merged, p, c)
+            rules.append(make_rule(r.lhs, merged, None, r.tag))
+        return self._derived(rules)
+
+    def _derived(self, rules) -> "ReductionSystem":
+        """A validated system over the same quiver whose rules have the
+        same left-hand sides as these.  Its kernel shares this one's
+        tables and the arrow ids of every unchanged right-hand side."""
+        system = object.__new__(ReductionSystem)
+        system.quiver = self.quiver
+        system.rules = tuple(sorted(rules, key=lambda r: path_key(r.lhs)))
+        system.lhs_lengths = tuple(sorted({len(r.lhs) for r in system.rules}))
+        system.kernel = self.kernel.derive(system)
+        system._validate()
+        return system
 
     def __repr__(self):
         return f"ReductionSystem({len(self.rules)} rules)"
 
 
+class _Kernel:
+    """A reduction system on integers.  Arrows are numbered in name
+    order, so tuples of arrow ids compare as the tuples of their names,
+    and a path is keyed by (length, start, arrow ids), which compares
+    exactly as `path_key`.  `table` maps each left-hand side, as arrow
+    ids, to (rule, its length, rhs, rhs_t) with the right-hand sides as
+    (arrow ids, coeff) terms.  `heads[a]` maps each arrow b such that
+    some left-hand side starts a b to the lengths of those that do, and
+    is None for an arrow that starts none.  `reach` is one less than the
+    longest left-hand side.  `contexts` holds every prefix and suffix
+    `Path` that `resolve_overlap` has built, so each is built once: by
+    its arrow ids, which fix it, or by its vertex when it has length
+    zero."""
+
+    __slots__ = ("names", "targets", "ident", "table", "heads", "reach", "contexts")
+
+    def __init__(self, system: "ReductionSystem"):
+        by_name = system.quiver.by_name
+        self.names = names = tuple(sorted(by_name))
+        self.targets = tuple(by_name[name].target for name in names)
+        self.ident = {name: i for i, name in enumerate(names)}
+        self.table: dict[tuple, tuple] = {}
+        self.heads: list = [None] * len(names)
+        lengths = {(k,): (k,) for k in system.lhs_lengths}
+        for rule in system.rules:
+            lhs = self.ids(rule.lhs)
+            self.table[lhs] = self.entry(rule)
+            second = self.heads[lhs[0]]
+            if second is None:
+                second = self.heads[lhs[0]] = {}
+            # one tuple per distinct set of lengths
+            joined = tuple(sorted({*second.get(lhs[1], ()), len(lhs)}))
+            second[lhs[1]] = lengths.setdefault(joined, joined)
+        self.reach = max(system.lhs_lengths, default=2) - 1
+        self.contexts: dict = {}
+
+    def derive(self, system: "ReductionSystem") -> "_Kernel":
+        """The kernel of a system whose rules have this kernel's
+        left-hand sides, in the same order: the numbering, `heads` and
+        the left-hand side keys are shared, as are the right-hand sides
+        of every rule that kept them, and an unchanged rule keeps its
+        entry, which holds this kernel's equal rule.  Any other system
+        gets a kernel of its own."""
+        old = [entry[0] for entry in self.table.values()]
+        if [r.lhs for r in system.rules] != [r.lhs for r in old]:
+            return _Kernel(system)
+        derived = object.__new__(_Kernel)
+        for name in ("names", "targets", "ident", "heads", "reach"):
+            setattr(derived, name, getattr(self, name))
+        derived.contexts = {}
+        derived.table = {}
+        for rule, (lhs, entry) in zip(system.rules, self.table.items()):
+            was, k, rhs, rhs_t = entry
+            if rule != was:
+                entry = (
+                    rule,
+                    k,
+                    rhs if rule.rhs == was.rhs else self.terms(rule.rhs),
+                    rhs_t if rule.rhs_t == was.rhs_t else self.terms(rule.rhs_t),
+                )
+            derived.table[lhs] = entry
+        return derived
+
+    def entry(self, rule: Rule) -> tuple:
+        return (rule, len(rule.lhs), self.terms(rule.rhs), self.terms(rule.rhs_t))
+
+    def terms(self, part) -> tuple:
+        return tuple((self.ids(p), c) for p, c in part)
+
+    def ids(self, path: Path) -> tuple[int, ...]:
+        ident = self.ident
+        return tuple([ident[name] for name in path.arrows])
+
+    def key(self, path: Path) -> tuple:
+        return (len(path.arrows), path.start, self.ids(path))
+
+    def path(self, key: tuple) -> Path:
+        _, start, ids = key
+        names = self.names
+        return Path(
+            start, tuple([names[i] for i in ids]), self.targets[ids[-1]] if ids else start
+        )
+
+    def find(self, ids: tuple, start: int):
+        """The leftmost redex of a word of arrow ids that starts at or
+        after position `start`, as (position, table entry), or None.  At
+        most one rule can match at a position since no lhs occurs inside
+        another."""
+        heads, table = self.heads, self.table
+        for i in range(start, len(ids) - 1):
+            second = heads[ids[i]]
+            if second is not None:
+                lengths = second.get(ids[i + 1])
+                if lengths is not None:
+                    for k in lengths:
+                        entry = table.get(ids[i : i + k])
+                        if entry is not None:
+                            return i, entry
+        return None
+
+
 def leftmost_redex(path: Path, system: ReductionSystem):
-    """Position and rule of the first redex, or None. At most one rule
-    can match at a fixed position since no lhs occurs inside another."""
-    arrows = path.arrows
-    n = len(arrows)
-    by_lhs = system.by_lhs
-    for i in range(n - 1):
-        for k in system.lhs_lengths:
-            if i + k > n:
-                break
-            rule = by_lhs.get(arrows[i : i + k])
-            if rule is not None:
-                return i, rule
-    return None
+    """Position and rule of the first redex, or None."""
+    kernel = system.kernel
+    hit = kernel.find(kernel.ids(path), 0)
+    return None if hit is None else (hit[0], hit[1][0])
 
 
 def is_irreducible(path: Path, system: ReductionSystem) -> bool:
@@ -252,51 +390,71 @@ class Event(NamedTuple):
 
 
 class _Fuel:
+    """A budget of rewriting steps, shared by the reductions it is
+    passed to; `_reduce` burns one unit per step."""
+
     def __init__(self, amount: int):
         self.left = amount
 
-    def burn(self, witness):
-        if self.left <= 0:
-            raise FuelError(
-                "rewriting fuel exhausted", witness={"path": repr(witness)}
-            )
-        self.left -= 1
 
-
-def _insert(acc: LinComb, prefix: Path, parts, suffix: Path, coeff: Coeff) -> None:
-    """Add coeff * prefix * part * suffix for every term of parts."""
+def _insert(work: dict, start: str, head: tuple, parts, tail: tuple, coeff, resume: int):
+    """Add coeff * head * part * tail to the work of `_reduce` for every
+    (arrow ids, c) term of parts, none with a redex before `resume`."""
     for q, c in parts:
-        add_term(
-            acc,
-            Path(prefix.start, prefix.arrows + q.arrows + suffix.arrows, suffix.end),
-            coeff * c,
-        )
-
-
-def _reduce(work: LinComb, system: ReductionSystem, fuel: _Fuel, events=None):
-    """Normal form of a LinComb, which is consumed."""
-    out: LinComb = {}
-    while work:
-        path = min(work, key=path_key)
-        coeff = work.pop(path)
-        hit = leftmost_redex(path, system)
-        if hit is None:
-            add_term(out, path, coeff)
+        ids = head + q + tail
+        key = (len(ids), start, ids)
+        entry = work.get(key)
+        if entry is None:
+            work[key] = [coeff * c, resume]
             continue
-        fuel.burn(path)
-        i, rule = hit
-        k = len(rule.lhs.arrows)
-        prefix = Path(path.start, path.arrows[:i], rule.lhs.start)
-        suffix = Path(rule.lhs.end, path.arrows[i + k :], path.end)
+        entry[0] += coeff * c
+        if not entry[0]:
+            del work[key]
+        elif resume < entry[1]:
+            entry[1] = resume
+
+
+def _reduce(work: dict, kernel: _Kernel, fuel: _Fuel, events=None) -> dict:
+    """Normal form of the work, which is consumed: {key: [coeff, resume]}
+    with keys as `_Kernel.key` gives them, and no redex of a term before
+    its resume position.  Returns {key: coeff}.  With `events`, appends
+    (table entry, start, arrow ids, position, coeff) per rule
+    application.
+
+    A term made by rewriting at position i has no redex starting before
+    i - reach: the rest of the word before i is untouched, and a redex
+    lying wholly inside it would have been found first.  A term reached
+    twice keeps the smaller resume position.  The terms are taken
+    smallest key first, as `path_key` orders paths."""
+    out: dict = {}
+    find, reach = kernel.find, kernel.reach
+    while work:
+        key = min(work)
+        coeff, resume = work.pop(key)
+        _, start, ids = key
+        hit = find(ids, resume)
+        if hit is None:
+            add_term(out, key, coeff)
+            continue
+        if fuel.left <= 0:
+            raise FuelError(
+                "rewriting fuel exhausted", witness={"path": repr(kernel.path(key))}
+            )
+        fuel.left -= 1
+        i, entry = hit
         if events is not None:
-            events.append(Event(rule, prefix, suffix, coeff))
-        _insert(work, prefix, rule.rhs, suffix, coeff)
+            events.append((entry, start, ids, i, coeff))
+        _insert(work, start, ids[:i], entry[2], ids[i + entry[1] :], coeff,
+                i - reach if i > reach else 0)
     return out
 
 
 def normal_form(x, system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> LinComb:
     """Reduce a path or combination to its normal form."""
-    return _reduce(as_lincomb(x), system, _Fuel(fuel))
+    kernel = system.kernel
+    work = {kernel.key(p): [c, 0] for p, c in as_lincomb(x).items()}
+    out = _reduce(work, kernel, _Fuel(fuel))
+    return {kernel.path(key): c for key, c in out.items()}
 
 
 class Overlap(NamedTuple):
@@ -349,17 +507,60 @@ class Branch(NamedTuple):
     events: tuple[Event, ...]
 
 
-def _resolve(first: Event, system: ReductionSystem, fuel: int) -> Branch:
-    """Apply `first`, then reduce both orders on one fuel budget."""
+def _resolve(kernel: _Kernel, start: str, ids: tuple, i: int, rule: Rule, fuel: int):
+    """Apply `rule` at position i of the word, then reduce both orders on
+    one fuel budget.  Returns the order-zero and order-one normal forms
+    as {key: coeff} and the events as `_reduce` records them; the
+    order-one part is formed from the events' integer contexts.  Only
+    the rewriting after the first application is leftmost, so only its
+    terms resume their redex scan."""
     shared = _Fuel(fuel)
-    events = [first]
-    order_zero: LinComb = {}
-    _insert(order_zero, first.prefix, first.rule.rhs, first.suffix, first.coeff)
-    nf0 = _reduce(order_zero, system, shared, events)
-    order_one: LinComb = {}
-    for ev in events:
-        _insert(order_one, ev.prefix, ev.rule.rhs_t, ev.suffix, ev.coeff)
-    return Branch(nf0, _reduce(order_one, system, shared), tuple(events))
+    entry = kernel.table.get(kernel.ids(rule.lhs))
+    if entry is None or entry[0] != rule:
+        entry = kernel.entry(rule)
+    events = [(entry, start, ids, i, 1)]
+    order_zero: dict = {}
+    _insert(order_zero, start, ids[:i], entry[2], ids[i + entry[1] :], 1, 0)
+    nf0 = _reduce(order_zero, kernel, shared, events)
+    order_one: dict = {}
+    reach = kernel.reach
+    for n, (entry, start, ids, i, coeff) in enumerate(events):
+        if entry[3]:
+            resume = i - reach if n and i > reach else 0
+            _insert(order_one, start, ids[:i], entry[3], ids[i + entry[1] :], coeff, resume)
+    return nf0, _reduce(order_one, kernel, shared) if order_one else {}, events
+
+
+def _resolve_pair(kernel: _Kernel, overlap: Overlap, fuel: int) -> tuple:
+    """Both resolutions of the overlap word by `_resolve`: the left rule
+    at its start, the right rule at its end."""
+    word = overlap.word
+    ids = kernel.ids(word)
+    return (
+        _resolve(kernel, word.start, ids, 0, overlap.left, fuel),
+        _resolve(kernel, word.start, ids, len(ids) - len(overlap.right.lhs), overlap.right, fuel),
+    )
+
+
+def _branch(kernel: _Kernel, resolved: tuple) -> Branch:
+    """The `Branch` of a `_resolve` result, its paths and events built."""
+    nf0, nf1, events = resolved
+    contexts, path = kernel.contexts, kernel.path
+    applied = []
+    for (rule, k, _, _), start, ids, i, coeff in events:
+        head, tail = ids[:i], ids[i + k :]
+        prefix = contexts.get(head or start)
+        if prefix is None:
+            prefix = contexts[head or start] = path((i, start, head))
+        suffix = contexts.get(tail or rule.lhs.end)
+        if suffix is None:
+            suffix = contexts[tail or rule.lhs.end] = path((len(tail), rule.lhs.end, tail))
+        applied.append(Event(rule, prefix, suffix, coeff))
+    return Branch(
+        {path(key): c for key, c in nf0.items()},
+        {path(key): c for key, c in nf1.items()},
+        tuple(applied),
+    )
 
 
 def resolve_overlap(
@@ -368,15 +569,9 @@ def resolve_overlap(
     """Both one-step resolutions of the overlap word, fully reduced: the
     left rule applied with the tail as context, the right rule with the
     head.  Each branch has its own fuel budget."""
-    word = overlap.word
-    left, right = overlap.left, overlap.right
-    tail = Path(left.lhs.end, word.arrows[len(left.lhs) :], word.end)
-    head = Path(word.start, word.arrows[: len(word) - len(right.lhs)], right.lhs.start)
-    no_head, no_tail = Path(word.start, (), word.start), Path(word.end, (), word.end)
-    return (
-        _resolve(Event(left, no_head, tail, 1), system, fuel),
-        _resolve(Event(right, head, no_tail, 1), system, fuel),
-    )
+    kernel = system.kernel
+    left, right = _resolve_pair(kernel, overlap, fuel)
+    return _branch(kernel, left), _branch(kernel, right)
 
 
 def diamond_failure(overlap: Overlap, left: Branch, right: Branch) -> dict | None:
@@ -399,10 +594,16 @@ def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondR
     Rules with a deformation part are compared over the dual numbers, so
     the report also certifies a first-order deformation when present.
     """
+    kernel = system.kernel
     overlaps = enumerate_overlaps(system)
-    found = (diamond_failure(o, *resolve_overlap(o, system, fuel)) for o in overlaps)
-    failures = tuple(f for f in found if f is not None)
-    return DiamondReport(not failures, len(overlaps), failures)
+    failures = []
+    for o in overlaps:
+        left, right = _resolve_pair(kernel, o, fuel)
+        # normal forms agree exactly when their integer forms do; only a
+        # failure builds its branches, for the witness
+        if left[:2] != right[:2]:
+            failures.append(diamond_failure(o, _branch(kernel, left), _branch(kernel, right)))
+    return DiamondReport(not failures, len(overlaps), tuple(failures))
 
 
 class PathTree:

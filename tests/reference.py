@@ -1,12 +1,21 @@
-"""Reference counts and enumerations that the tests compare the
-library against.
+"""Reference counts, enumerations and engines that the tests compare
+the library against.
 
 None of them is read by the library or the CLI: each recomputes, by a
-route of its own, a figure that a certificate or an index gives.
+route of its own, a figure that a certificate or an index gives.  The
+surgery engine over (level, position) node tuples and frozenset
+states, and the rewriting engine over arrow-name tuples, are the
+library's earlier kernels kept verbatim as oracles for the integer
+kernels that replaced them.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from typing import NamedTuple
+
+from arcdual import combinatorics as comb
+from arcdual.arc_algebra import ArcDiagram, make_arc_diagram
 from arcdual.combinatorics import (
     DOWN,
     UP,
@@ -16,7 +25,22 @@ from arcdual.combinatorics import (
     is_nested,
     weight_type,
 )
-from arcdual.rewrite import Path, is_irreducible
+from arcdual.errors import FuelError
+from arcdual.linalg import add_term
+from arcdual.rewrite import (
+    DEFAULT_FUEL,
+    Branch,
+    Event,
+    LinComb,
+    Overlap,
+    Path,
+    ReductionSystem,
+    as_lincomb,
+    diamond_failure,
+    enumerate_overlaps,
+    is_irreducible,
+    path_key,
+)
 
 
 def lowest_weight(m: int, n: int) -> str:
@@ -100,3 +124,320 @@ def ascending_irr_count(lam: str, mu: str, k: int) -> int:
             else:
                 stack.append((ws + (nxt,), cs + (c,)))
     return count
+
+
+# ---------------------------------------------------------------------------
+# Surgery over (level, position) nodes, one frozenset of labelled
+# circles per state.
+
+
+class _Component(NamedTuple):
+    nodes: frozenset
+    ray_nodes: tuple
+    is_line: bool
+
+
+def _trace(adjacency: dict, start) -> _Component:
+    """The component through start, walked both ways from it."""
+    nodes, rays = {start}, []
+    for first in adjacency[start]:
+        prev, cur = start, first
+        while cur is not None and cur != start:
+            nodes.add(cur)
+            left, right = adjacency[cur]
+            prev, cur = cur, right if left == prev else left
+        if cur is not None:
+            break  # back at start: a circle, walked once round
+        rays.append(prev)
+    assert len(rays) in (0, 2)
+    return _Component(frozenset(nodes), tuple(sorted(rays)), bool(rays))
+
+
+def _run_surgery(a: ArcDiagram, b: ArcDiagram, order) -> dict[ArcDiagram, int]:
+    """Resolve the middle band of the stacked pair along the given order
+    of glue cups.  Each chosen cup must be admissible: not nested inside
+    a cup that has not been resolved yet.  The components are traced
+    once; after each step only those through its four nodes are traced
+    again, and the node-to-component map is updated for them alone."""
+    glue = a.cap_weight
+    lam, mu = a.mid_weight, b.mid_weight
+    mid = cup_matching(glue)
+    for p in mid.rays:
+        assert lam[p] == mu[p]
+
+    def mark(node) -> str:
+        level, pos = node
+        return lam[pos] if level == 0 else mu[pos]
+
+    def is_ccw(component: _Component) -> bool:
+        # The leftmost crossing of a circle with the lower weight line, or
+        # with the upper one if it misses the lower (nodes order by level
+        # first), points down exactly when the circle is counterclockwise.
+        return mark(min(component.nodes)) == DOWN
+
+    adjacency = defaultdict(list)
+    for level, shape in ((0, a.cup_weight), (1, b.cap_weight)):
+        outer = cup_matching(shape)
+        for i, j in outer.cups + mid.cups:
+            adjacency[(level, i)].append((level, j))
+            adjacency[(level, j)].append((level, i))
+        for p in outer.rays:
+            adjacency[(level, p)].append(None)
+    for p in mid.rays:
+        adjacency[(0, p)].append((1, p))
+        adjacency[(1, p)].append((0, p))
+    assert all(len(ends) == 2 for ends in adjacency.values())
+    component: dict = {}
+
+    def retrace(nodes) -> list[_Component]:
+        traced, seen = [], set()
+        for node in nodes:
+            if node not in seen:
+                c = _trace(adjacency, node)
+                traced.append(c)
+                seen |= c.nodes
+                component.update(dict.fromkeys(c.nodes, c))
+        return traced
+
+    # A state assigns each circle its label (True = counterclockwise);
+    # lines carry no state, their rays keep their marks forever.
+    init = frozenset(
+        (c.nodes, is_ccw(c)) for c in retrace(list(adjacency)) if not c.is_line
+    )
+    states: dict[frozenset, int] = {init: 1}
+
+    remaining = set(mid.cups)
+    for pair in order:
+        pair = tuple(pair)
+        assert pair in remaining
+        assert not any(
+            comb.is_nested(pair, other) for other in remaining if other != pair
+        ), f"surgery at {pair} blocked by an enclosing unresolved pair"
+        remaining.discard(pair)
+        i, j = pair
+        c_low = component[(0, i)]
+        c_high = component[(1, i)]
+        # the glue cup and cap at (i, j) become the verticals at i and j; a
+        # node whose other arc joins the same pair lists its partner twice,
+        # and either entry may go
+        touched = [(0, i), (0, j), (1, i), (1, j)]
+        for (level, p), partner in zip(touched, ((0, j), (0, i), (1, j), (1, i))):
+            ends = adjacency[(level, p)]
+            ends[ends.index(partner)] = (1 - level, p)
+        # every component meeting the four surgery nodes is newly formed:
+        # merges and splits always change node sets, and reconnected lines
+        # mix nodes of both inputs
+        fresh = retrace(touched)
+
+        new_states: dict[frozenset, int] = {}
+
+        def emit(state: dict, coeff: int) -> None:
+            add_term(new_states, frozenset(state.items()), coeff)
+
+        if c_low is not c_high:
+            # merge
+            if not c_low.is_line and not c_high.is_line:
+                assert len(fresh) == 1 and not fresh[0].is_line
+                merged = fresh[0].nodes
+                for state, coeff in states.items():
+                    st = dict(state)
+                    l1 = st.pop(c_low.nodes)
+                    l2 = st.pop(c_high.nodes)
+                    if not l1 and not l2:
+                        continue
+                    st[merged] = l1 and l2
+                    emit(st, coeff)
+            elif c_low.is_line != c_high.is_line:
+                assert len(fresh) == 1 and fresh[0].is_line
+                circle = c_high if c_low.is_line else c_low
+                for state, coeff in states.items():
+                    st = dict(state)
+                    if not st.pop(circle.nodes):
+                        continue
+                    emit(st, coeff)
+            else:
+                # two lines reconnect into two lines
+                assert len(fresh) == 2 and all(c.is_line for c in fresh)
+                m1 = {mark(nd) for nd in c_low.ray_nodes}
+                m2 = {mark(nd) for nd in c_high.ray_nodes}
+                if {tuple(sorted(m1)), tuple(sorted(m2))} == {(UP,), (DOWN,)}:
+                    new_states = dict(states)
+                # otherwise every summand dies
+        else:
+            # split
+            parent = c_low
+            assert len(fresh) == 2
+            if not parent.is_line:
+                assert all(not c.is_line for c in fresh)
+                k1, k2 = sorted((c.nodes for c in fresh), key=lambda k: min(k))
+                for state, coeff in states.items():
+                    st = dict(state)
+                    if st.pop(parent.nodes):
+                        for ccw_first in (True, False):
+                            branch = dict(st)
+                            branch[k1] = ccw_first
+                            branch[k2] = not ccw_first
+                            emit(branch, coeff)
+                    else:
+                        st[k1] = False
+                        st[k2] = False
+                        emit(st, coeff)
+            else:
+                circles = [c for c in fresh if not c.is_line]
+                lines = [c for c in fresh if c.is_line]
+                assert len(circles) == 1 and len(lines) == 1
+                for state, coeff in states.items():
+                    st = dict(state)
+                    st[circles[0].nodes] = False
+                    emit(st, coeff)
+        states = new_states
+        if not states:
+            return {}
+
+    assert not remaining
+
+    # Collapse the middle band: every position now carries a vertical, so
+    # each component crosses both lines at the same sorted positions and
+    # its crossings alternate direction along them.
+    def flip(m: str) -> str:
+        return UP if m == DOWN else DOWN
+
+    components = set(component.values())
+    result: dict[ArcDiagram, int] = {}
+    for state, coeff in states.items():
+        st = dict(state)
+        nu = [None] * len(lam)
+        for c in components:
+            low_positions = sorted(p for (level, p) in c.nodes if level == 0)
+            high_positions = sorted(p for (level, p) in c.nodes if level == 1)
+            assert low_positions == high_positions
+            if c.is_line:
+                anchor, other = c.ray_nodes
+                base = low_positions.index(anchor[1])
+                for t, p in enumerate(low_positions):
+                    nu[p] = mark(anchor) if (t - base) % 2 == 0 else flip(mark(anchor))
+                assert nu[other[1]] == mark(other)
+            else:
+                first = DOWN if st.pop(c.nodes) else UP
+                for t, p in enumerate(low_positions):
+                    nu[p] = first if t % 2 == 0 else flip(first)
+        assert not st
+        product = make_arc_diagram(a.cup_weight, "".join(nu), b.cap_weight)
+        add_term(result, product, coeff)
+    return result
+
+
+def reference_product(a: ArcDiagram, b: ArcDiagram) -> dict[ArcDiagram, int]:
+    """The product of two basis diagrams by the reference surgery, pairs
+    resolved left to right; empty unless they glue."""
+    if a.cap_weight != b.cup_weight:
+        return {}
+    return _run_surgery(a, b, cup_matching(a.cap_weight).cups)
+
+
+# ---------------------------------------------------------------------------
+# Leftmost rewriting over arrow-name tuples, one `Path` per term and one
+# `Event` per step.
+
+
+def leftmost_redex(path: Path, system: ReductionSystem):
+    """Position and rule of the first redex, or None. At most one rule
+    can match at a fixed position since no lhs occurs inside another."""
+    arrows = path.arrows
+    n = len(arrows)
+    by_lhs = system.by_lhs
+    for i in range(n - 1):
+        for k in system.lhs_lengths:
+            if i + k > n:
+                break
+            rule = by_lhs.get(arrows[i : i + k])
+            if rule is not None:
+                return i, rule
+    return None
+
+
+class _Fuel:
+    def __init__(self, amount: int):
+        self.left = amount
+
+    def burn(self, witness):
+        if self.left <= 0:
+            raise FuelError(
+                "rewriting fuel exhausted", witness={"path": repr(witness)}
+            )
+        self.left -= 1
+
+
+def _insert(acc: LinComb, prefix: Path, parts, suffix: Path, coeff: Coeff) -> None:
+    """Add coeff * prefix * part * suffix for every term of parts."""
+    for q, c in parts:
+        add_term(
+            acc,
+            Path(prefix.start, prefix.arrows + q.arrows + suffix.arrows, suffix.end),
+            coeff * c,
+        )
+
+
+def _reduce(work: LinComb, system: ReductionSystem, fuel: _Fuel, events=None):
+    """Normal form of a LinComb, which is consumed."""
+    out: LinComb = {}
+    while work:
+        path = min(work, key=path_key)
+        coeff = work.pop(path)
+        hit = leftmost_redex(path, system)
+        if hit is None:
+            add_term(out, path, coeff)
+            continue
+        fuel.burn(path)
+        i, rule = hit
+        k = len(rule.lhs.arrows)
+        prefix = Path(path.start, path.arrows[:i], rule.lhs.start)
+        suffix = Path(rule.lhs.end, path.arrows[i + k :], path.end)
+        if events is not None:
+            events.append(Event(rule, prefix, suffix, coeff))
+        _insert(work, prefix, rule.rhs, suffix, coeff)
+    return out
+
+
+def reference_normal_form(x, system, fuel: int = DEFAULT_FUEL):
+    """`rewrite.normal_form` by the reference rewriting."""
+    return _reduce(as_lincomb(x), system, _Fuel(fuel))
+
+
+def _resolve(first: Event, system: ReductionSystem, fuel: int) -> Branch:
+    """Apply `first`, then reduce both orders on one fuel budget."""
+    shared = _Fuel(fuel)
+    events = [first]
+    order_zero: LinComb = {}
+    _insert(order_zero, first.prefix, first.rule.rhs, first.suffix, first.coeff)
+    nf0 = _reduce(order_zero, system, shared, events)
+    order_one: LinComb = {}
+    for ev in events:
+        _insert(order_one, ev.prefix, ev.rule.rhs_t, ev.suffix, ev.coeff)
+    return Branch(nf0, _reduce(order_one, system, shared), tuple(events))
+
+
+def resolve_overlap(
+    overlap: Overlap, system: ReductionSystem, fuel: int = DEFAULT_FUEL
+) -> tuple[Branch, Branch]:
+    """Both one-step resolutions of the overlap word, fully reduced: the
+    left rule applied with the tail as context, the right rule with the
+    head.  Each branch has its own fuel budget."""
+    word = overlap.word
+    left, right = overlap.left, overlap.right
+    tail = Path(left.lhs.end, word.arrows[len(left.lhs) :], word.end)
+    head = Path(word.start, word.arrows[: len(word) - len(right.lhs)], right.lhs.start)
+    no_head, no_tail = Path(word.start, (), word.start), Path(word.end, (), word.end)
+    return (
+        _resolve(Event(left, no_head, tail, 1), system, fuel),
+        _resolve(Event(right, head, no_tail, 1), system, fuel),
+    )
+
+
+def reference_diamond_failures(system, fuel: int = DEFAULT_FUEL) -> tuple:
+    """The failures of `rewrite.check_diamond` by the reference
+    resolution."""
+    found = (
+        diamond_failure(o, *resolve_overlap(o, system, fuel)) for o in enumerate_overlaps(system)
+    )
+    return tuple(f for f in found if f is not None)

@@ -516,3 +516,40 @@ def test_degenerate_type_is_one_dimensional(capsys, monkeypatch, m, n):
     code, out, _ = run(capsys, "verify", m, n)
     assert code == 1
     assert out.splitlines()[-1] == "failed bar-oracle"
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # `arcdual relations 4 3 | head -1`: the reader takes one line and
+    # closes the pipe.  The pipe is shrunk to one page before the CLI
+    # starts, so the 38 KB of output must block on the reader, and the
+    # write after the close fails whatever the scheduling.
+    import fcntl
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs F_SETPIPE_SZ to size the pipe")
+    path = filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                         os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    with os.fdopen(read_end, "rb", buffering=0) as reader:
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from arcdual.cli import main; sys.exit(main())",
+             "relations", "4", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+        os.close(write_end)
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = reader.read(1)
+            if not byte:  # the CLI exited before a whole line
+                break
+            line += byte
+    _, err = child.communicate(timeout=120)
+    assert line == b"vvvv^^^ -> vvv^^v^\n"
+    assert child.returncode == 141
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -9,6 +9,8 @@ parameter, and `reduction-system 3 3` the smallest size whose rules
 carry the coefficient 2.  `dim 6 5` and `dim 7 7` (text and JSON) pin
 every graded coefficient at the sizes the benchmark and the README
 quote.
+`relations 3 3`, `relations 4 3` and `diamond 3 4` (526 overlaps) pin
+the K relation rows and the diamond check at the benchmark's sizes.
 
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
@@ -63,6 +65,9 @@ COMMANDS = [
     ("dim", "6", "5"),
     ("dim", "7", "7"),
     ("dim", "7", "7", "--json"),
+    ("relations", "3", "3"),
+    ("relations", "4", "3"),
+    ("diamond", "3", "4"),
 ]
 
 

@@ -1,0 +1,116 @@
+"""The integer kernels against the engines they replaced.
+
+`arc_algebra._run_surgery` and the rewriting of `rewrite` (leftmost
+redex search, normal forms, overlap resolution) work on integers.  The
+reference engines in `reference.py` are the earlier implementations
+over node tuples, frozenset states and arrow-name tuples, kept
+verbatim; every result here must agree with them exactly, including
+the order of rule applications that `koszul.dual_resolution` records.
+"""
+
+import pytest
+
+import reference as ref
+from arcdual import arc_algebra as alg
+from arcdual import hochschild as hh
+from arcdual import koszul
+from arcdual import presentation as P
+from arcdual import rewrite as rw
+from arcdual.combinatorics import cup_matching
+
+
+def _composable_pairs(m, n):
+    basis = alg.enumerate_basis(m, n)
+    above: dict = {}
+    for b in basis:
+        above.setdefault(b.cup_weight, []).append(b)
+    return [(a, b) for a in basis for b in above.get(a.cap_weight, ())]
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 2), (2, 3), (2, 4)])
+def test_surgery_matches_reference_on_every_composable_pair(m, n):
+    pairs = _composable_pairs(m, n)
+    assert pairs
+    for a, b in pairs:
+        order = cup_matching(a.cap_weight).cups
+        assert alg._run_surgery(a, b, order) == ref._run_surgery(a, b, order), (a, b)
+
+
+def test_surgery_matches_reference_on_the_length_two_products_at_3_3():
+    products = 0
+    for block in P.relations_K(3, 3).blocks:
+        for x, y in block.paths:
+            a, b = P.rho_of_arrow(x), P.rho_of_arrow(y)
+            assert dict(alg.diagram_product(a, b)) == ref.reference_product(a, b), (x, y)
+            products += 1
+    assert products > 300
+
+
+def test_leftmost_redex_matches_reference_at_3_3():
+    system = koszul.reduction_system(3, 3)
+    words = [o.word for o in rw.enumerate_overlaps(system)]
+    words += [p for p, _ in (t for r in system.rules for t in r.rhs)]
+    for word in words:
+        assert rw.leftmost_redex(word, system) == ref.leftmost_redex(word, system), word
+
+
+def _insertions(m, n, q):
+    """Every path a cocycle constraint in Adams degree q normalises:
+    prefix * cochain value * suffix per rule application."""
+    by_lhs: dict = {}
+    for c in hh.cochain2_basis(m, n, q):
+        by_lhs.setdefault(c.lhs, []).append(c.path)
+    for events in koszul.dual_resolution(m, n)[1]:
+        for k in range(0, len(events), 4):
+            lhs, _, pre, suf = events[k : k + 4]
+            for p in by_lhs.get(lhs, ()):
+                yield rw.Path(pre.start, pre.arrows + p.arrows + suf.arrows, suf.end)
+
+
+def test_normal_forms_match_reference_on_the_cochain_insertions_at_3_3_q8():
+    system = koszul.reduction_system(3, 3)
+    # the cochain values have length 10 or 11, the inserted paths 11 or 12
+    lengths = set()
+    for path in _insertions(3, 3, 8):
+        lengths.add(len(path))
+        assert rw.normal_form(path, system) == ref.reference_normal_form(path, system), path
+    assert lengths == {11, 12}
+
+
+def test_dual_resolution_matches_reference_at_3_3():
+    system = koszul.reduction_system(3, 3)
+    applications = []
+    for overlap in rw.enumerate_overlaps(system):
+        left, right = rw.resolve_overlap(overlap, system)
+        assert (left, right) == ref.resolve_overlap(overlap, system)
+        events = []
+        for sign, branch in ((1, left), (-1, right)):
+            for e in branch.events:
+                events += (e.rule.lhs.arrows, sign * e.coeff, e.prefix, e.suffix)
+        applications.append(tuple(events))
+    assert koszul.dual_resolution(3, 3)[1] == tuple(applications)
+
+
+def test_deformed_resolution_matches_reference():
+    # a deformation by arbitrary cochains is no cocycle: the order-one
+    # parts and the failure witnesses are compared as well
+    base = koszul.reduction_system(3, 2)
+    assignment: dict = {}
+    for c in hh.cochain2_basis(3, 2, 2)[::3]:
+        assignment.setdefault(c.lhs, {})[c.path] = 1
+    deformed = base.with_deformation(assignment)
+    report = rw.check_diamond(deformed)
+    assert not report.ok
+    assert report.failures == ref.reference_diamond_failures(deformed)
+    for overlap in rw.enumerate_overlaps(deformed):
+        assert rw.resolve_overlap(overlap, deformed) == ref.resolve_overlap(overlap, deformed)
+
+
+def test_fuel_witness_matches_reference():
+    system = koszul.reduction_system(3, 3)
+    word = max((o.word for o in rw.enumerate_overlaps(system)), key=rw.path_key)
+    with pytest.raises(rw.FuelError) as new:
+        rw.normal_form(word, system, fuel=1)
+    with pytest.raises(rw.FuelError) as old:
+        ref.reference_normal_form(word, system, fuel=1)
+    assert new.value.witness == old.value.witness

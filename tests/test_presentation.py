@@ -185,6 +185,21 @@ def test_block_lookup_agrees_with_a_scan():
     assert 0 < missing < len(quiver.vertices) ** 2
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 3)])
+def test_blocks_match_the_pairwise_path_sweep(m, n):
+    # relations_K groups the length-two paths in one sweep; its blocks
+    # keep the order and paths of a paths_of_length_two call per pair
+    quiver = P.build_quiver(m, n)
+    want = [
+        (s, t, P.paths_of_length_two(quiver, s, t))
+        for s in quiver.vertices
+        for t in quiver.vertices
+        if P.paths_of_length_two(quiver, s, t)
+    ]
+    got = [(b.source, b.target, b.paths) for b in P.relations_K(m, n).blocks]
+    assert got == want
+
+
 def test_zero_paths_two_two():
     q = P.build_quiver(2, 2)
     zero_blocks = []

@@ -207,16 +207,29 @@ def test_normal_form_is_linear(system):
 
 
 def test_fuel_exhaustion(system):
-    with pytest.raises(FuelError):
+    with pytest.raises(FuelError) as err:
         rw.normal_form(path("y11", "x11"), system, fuel=0)
+    assert err.value.witness == {"path": repr(path("y11", "x11"))}
     with pytest.raises(FuelError):
         rw.normal_form(path("x12", "x31", "x32"), system, fuel=1)
-    err = None
-    try:
-        rw.normal_form(path("y11", "x11"), system, fuel=0)
-    except FuelError as e:
-        err = e
-    assert "path" in err.witness
+
+
+@pytest.mark.parametrize(
+    "word, steps, last",
+    [
+        (("y11", "x11"), 1, ("y11", "x11")),
+        (("x12", "x31", "x32"), 2, ("x2", "y32", "x32")),
+        (("y2", "x12", "x31"), 3, ("y32", "x32", "y32")),
+        (("y11", "x11", "x2"), 5, ("x2", "y32", "x32")),
+    ],
+)
+def test_fuel_is_burned_once_per_step(system, word, steps, last):
+    # a word needing `steps` rewriting steps passes on exactly that much
+    # fuel; one less raises with the path the last step would rewrite
+    rw.normal_form(path(*word), system, fuel=steps)
+    with pytest.raises(FuelError) as err:
+        rw.normal_form(path(*word), system, fuel=steps - 1)
+    assert err.value.witness == {"path": repr(path(*last))}
 
 
 def test_overlap_words(system):
