@@ -598,19 +598,24 @@ def dual_resolution(m: int, n: int):
     (lhs arrows, factor, prefix, suffix, lhs arrows, ...) of four
     entries per application, factor +coeff on the left branch and
     -coeff on the right.  Few contexts are distinct (340 prefixes and
-    400 suffixes over 4,008 applications at (3, 4)), and
-    `resolve_overlap` builds each distinct prefix and suffix `Path` once
-    per system, so each is held once."""
+    400 suffixes over 4,008 applications at (3, 4)), so each distinct
+    prefix and suffix `Path` is held once."""
     system = reduction_system(m, n)
     overlaps = enumerate_overlaps(system)
     failures, applications = [], []
+    contexts: dict = {}
     for overlap in overlaps:
         left, right = resolve_overlap(overlap, system)
         failures.append(diamond_failure(overlap, left, right))
         events: list = []
         for sign, branch in ((1, left), (-1, right)):
             for e in branch.events:
-                events += (e.rule.lhs.arrows, sign * e.coeff, e.prefix, e.suffix)
+                events += (
+                    e.rule.lhs.arrows,
+                    sign * e.coeff,
+                    contexts.setdefault(e.prefix, e.prefix),
+                    contexts.setdefault(e.suffix, e.suffix),
+                )
         applications.append(tuple(events))
     failures = tuple(f for f in failures if f is not None)
     return DiamondReport(not failures, len(overlaps), failures), tuple(applications)

@@ -238,7 +238,7 @@ class ReductionSystem:
                 rules.append(make_rule(r.lhs, r.rhs_comb(), table[r.lhs.arrows], r.tag))
             else:
                 rules.append(Rule(r.lhs, r.rhs, (), r.tag))
-        return self._derived(rules)
+        return ReductionSystem(self.quiver, rules)
 
     def at_parameter_one(self) -> "ReductionSystem":
         """Copy with each rule's deformation part merged into its
@@ -249,19 +249,7 @@ class ReductionSystem:
             for p, c in r.rhs + r.rhs_t:
                 add_term(merged, p, c)
             rules.append(make_rule(r.lhs, merged, None, r.tag))
-        return self._derived(rules)
-
-    def _derived(self, rules) -> "ReductionSystem":
-        """A validated system over the same quiver whose rules have the
-        same left-hand sides as these.  Its kernel shares this one's
-        tables and the arrow ids of every unchanged right-hand side."""
-        system = object.__new__(ReductionSystem)
-        system.quiver = self.quiver
-        system.rules = tuple(sorted(rules, key=lambda r: path_key(r.lhs)))
-        system.lhs_lengths = tuple(sorted({len(r.lhs) for r in system.rules}))
-        system.kernel = self.kernel.derive(system)
-        system._validate()
-        return system
+        return ReductionSystem(self.quiver, rules)
 
     def __repr__(self):
         return f"ReductionSystem({len(self.rules)} rules)"
@@ -276,12 +264,9 @@ class _Kernel:
     (arrow ids, coeff) terms.  `heads[a]` maps each arrow b such that
     some left-hand side starts a b to the lengths of those that do, and
     is None for an arrow that starts none.  `reach` is one less than the
-    longest left-hand side.  `contexts` holds every prefix and suffix
-    `Path` that `resolve_overlap` has built, so each is built once: by
-    its arrow ids, which fix it, or by its vertex when it has length
-    zero."""
+    longest left-hand side."""
 
-    __slots__ = ("names", "targets", "ident", "table", "heads", "reach", "contexts")
+    __slots__ = ("names", "targets", "ident", "table", "heads", "reach")
 
     def __init__(self, system: "ReductionSystem"):
         by_name = system.quiver.by_name
@@ -293,7 +278,7 @@ class _Kernel:
         lengths = {(k,): (k,) for k in system.lhs_lengths}
         for rule in system.rules:
             lhs = self.ids(rule.lhs)
-            self.table[lhs] = self.entry(rule)
+            self.table[lhs] = (rule, len(lhs), self.terms(rule.rhs), self.terms(rule.rhs_t))
             second = self.heads[lhs[0]]
             if second is None:
                 second = self.heads[lhs[0]] = {}
@@ -301,37 +286,6 @@ class _Kernel:
             joined = tuple(sorted({*second.get(lhs[1], ()), len(lhs)}))
             second[lhs[1]] = lengths.setdefault(joined, joined)
         self.reach = max(system.lhs_lengths, default=2) - 1
-        self.contexts: dict = {}
-
-    def derive(self, system: "ReductionSystem") -> "_Kernel":
-        """The kernel of a system whose rules have this kernel's
-        left-hand sides, in the same order: the numbering, `heads` and
-        the left-hand side keys are shared, as are the right-hand sides
-        of every rule that kept them, and an unchanged rule keeps its
-        entry, which holds this kernel's equal rule.  Any other system
-        gets a kernel of its own."""
-        old = [entry[0] for entry in self.table.values()]
-        if [r.lhs for r in system.rules] != [r.lhs for r in old]:
-            return _Kernel(system)
-        derived = object.__new__(_Kernel)
-        for name in ("names", "targets", "ident", "heads", "reach"):
-            setattr(derived, name, getattr(self, name))
-        derived.contexts = {}
-        derived.table = {}
-        for rule, (lhs, entry) in zip(system.rules, self.table.items()):
-            was, k, rhs, rhs_t = entry
-            if rule != was:
-                entry = (
-                    rule,
-                    k,
-                    rhs if rule.rhs == was.rhs else self.terms(rule.rhs),
-                    rhs_t if rule.rhs_t == was.rhs_t else self.terms(rule.rhs_t),
-                )
-            derived.table[lhs] = entry
-        return derived
-
-    def entry(self, rule: Rule) -> tuple:
-        return (rule, len(rule.lhs), self.terms(rule.rhs), self.terms(rule.rhs_t))
 
     def terms(self, part) -> tuple:
         return tuple((self.ids(p), c) for p, c in part)
@@ -515,9 +469,7 @@ def _resolve(kernel: _Kernel, start: str, ids: tuple, i: int, rule: Rule, fuel: 
     the rewriting after the first application is leftmost, so only its
     terms resume their redex scan."""
     shared = _Fuel(fuel)
-    entry = kernel.table.get(kernel.ids(rule.lhs))
-    if entry is None or entry[0] != rule:
-        entry = kernel.entry(rule)
+    entry = kernel.table[kernel.ids(rule.lhs)]
     events = [(entry, start, ids, i, 1)]
     order_zero: dict = {}
     _insert(order_zero, start, ids[:i], entry[2], ids[i + entry[1] :], 1, 0)
@@ -543,9 +495,12 @@ def _resolve_pair(kernel: _Kernel, overlap: Overlap, fuel: int) -> tuple:
 
 
 def _branch(kernel: _Kernel, resolved: tuple) -> Branch:
-    """The `Branch` of a `_resolve` result, its paths and events built."""
+    """The `Branch` of a `_resolve` result, its paths and events built.
+    Each distinct prefix and suffix `Path` is built once, keyed by its
+    arrow ids, which fix it, or by its vertex when it has length zero."""
     nf0, nf1, events = resolved
-    contexts, path = kernel.contexts, kernel.path
+    contexts: dict = {}
+    path = kernel.path
     applied = []
     for (rule, k, _, _), start, ids, i, coeff in events:
         head, tail = ids[:i], ids[i + k :]
