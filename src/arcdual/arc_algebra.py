@@ -79,9 +79,8 @@ def classify_gluing(alpha: str, lam: str, beta: str) -> int:
     """0 when (alpha, lam, beta) glue to an arc diagram, else the number
     of the first violated condition (1: an arc with equal end marks,
     2: a forbidden v ... ^ ray pattern)."""
-    if comb.weight_type(alpha) != comb.weight_type(lam) or comb.weight_type(
-        beta
-    ) != comb.weight_type(lam):
+    kind = comb.weight_type(lam)
+    if comb.weight_type(alpha) != kind or comb.weight_type(beta) != kind:
         raise ValueError(
             f"weights {alpha!r}, {lam!r}, {beta!r} are not all of one type"
         )

@@ -32,7 +32,7 @@ from .combinatorics import env_capacity, sort_key
 from .errors import CapacityError, CertificationError
 from .koszul import dual_resolution, irreducible_basis, reduction_system, staircase_chart
 from .presentation import dual_arrow
-from .rewrite import Path, path_key
+from .rewrite import Path
 
 BAR_CAPACITY_ENV = "ARCDUAL_BAR_CAPACITY"
 BAR_CAPACITY_DEFAULT = 200
@@ -55,13 +55,6 @@ class Cochain1(NamedTuple):
 
     arrow: str
     path: Path
-
-
-def _nf_terms(m: int, n: int, path: Path):
-    """The normal form of `path` as sorted (path, coeff) terms.  Not
-    memoised: each caller keeps only integer-indexed entries of it, and
-    few inserted paths recur."""
-    return tuple(rw.sorted_terms(rw.normal_form(path, reduction_system(m, n))))
 
 
 @lru_cache(maxsize=None)
@@ -119,8 +112,8 @@ class ConstraintSystem(NamedTuple):
 
 def _confluent_resolution(m: int, n: int):
     """The rule applications of `dual_resolution(m, n)`, one flat tuple
-    (lhs, factor, prefix, suffix, ...) per overlap.  CertificationError
-    if the dual system is not confluent."""
+    (start, lhs, factor, head, tail, ...) per overlap.
+    CertificationError if the dual system is not confluent."""
     diamond, applications = dual_resolution(m, n)
     if not diamond.ok:
         raise CertificationError(
@@ -137,22 +130,26 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
     (overlap index, irreducible path); identically zero rows are
     dropped.  CertificationError if the dual system is not confluent."""
     applications = _confluent_resolution(m, n)
+    system = reduction_system(m, n)
+    kernel = system.kernel
     basis = cochain2_basis(m, n, q)
     by_lhs: dict = {}
     for j, c in enumerate(basis):
-        by_lhs.setdefault(c.lhs, []).append((j, c.path))
+        by_lhs.setdefault(c.lhs, []).append((j, kernel.ids(c.path)))
     rows = []
     vectors = []
     for o_idx, events in enumerate(applications):
+        start = events[0]
         acc: dict = {}
-        for lhs, factor, pre, suf in _runs(events, 4):
-            for j, p in by_lhs.get(lhs, ()):
-                inserted = Path(pre.start, pre.arrows + p.arrows + suf.arrows, suf.end)
-                for t, c in _nf_terms(m, n, inserted):
+        for lhs, factor, head, tail in _runs(events[1:], 4):
+            for j, ids in by_lhs.get(lhs, ()):
+                word = head + ids + tail
+                for t, c in rw.reduce_keys(system, {(len(word), start, word): 1}).items():
                     linalg.add_term(acc.setdefault(t, {}), j, factor * c)
-        for t in sorted(acc, key=path_key):
+        # integer keys sort as path_key
+        for t in sorted(acc):
             if acc[t]:
-                rows.append((o_idx, t))
+                rows.append((o_idx, kernel.path(t)))
                 vectors.append(acc[t])
     return ConstraintSystem(tuple(rows), basis, tuple(map(MappingProxyType, vectors)))
 
@@ -164,17 +161,17 @@ def cocycle_constraints(m: int, n: int, q: int) -> ConstraintSystem:
 @lru_cache(maxsize=None)
 def _insertion_slots(m: int, n: int):
     """Arrow occurrences in the two-sided relation lhs - rhs of every
-    rule, keyed by arrow name, as (lhs, coeff, term, position): the
-    arrow at `position` of the path `term`.  Coboundaries substitute a
-    1-cochain value into each occurrence."""
-    system = reduction_system(m, n)
+    rule, keyed by arrow id, as (lhs, coeff, term, position): the arrow
+    at `position` of the word `term`, a tuple of arrow ids read from the
+    rewriting kernel and shared by the slots of its arrows, in the
+    relation with left-hand side `lhs`.  Coboundaries substitute a
+    1-cochain value into each occurrence, slicing the term there."""
     slots: dict = {}
-    for rule in system.rules:
-        terms = [(rule.lhs, 1)] + [(p, -c) for p, c in rule.rhs]
-        for w, coeff in terms:
-            for i, name in enumerate(w.arrows):
-                slots.setdefault(name, []).append((rule.lhs.arrows, coeff, w, i))
-    return {k: tuple(v) for k, v in slots.items()}
+    for lhs_ids, (rule, _, rhs, _) in reduction_system(m, n).kernel.table.items():
+        for term, coeff in ((lhs_ids, 1), *((q, -c) for q, c in rhs)):
+            for k, a in enumerate(term):
+                slots.setdefault(a, []).append((rule.lhs, coeff, term, k))
+    return {a: tuple(v) for a, v in slots.items()}
 
 
 @lru_cache(maxsize=None)
@@ -182,20 +179,23 @@ def coboundary_matrix(m: int, n: int, q: int) -> ConstraintSystem:
     """Matrix of the coboundary map from 1-cochains to 2-cochains in
     Adams degree q, on the bases above, held by column: the image of
     each 1-cochain."""
+    system = reduction_system(m, n)
+    kernel = system.kernel
     basis2 = cochain2_basis(m, n, q)
     basis1 = cochain1_basis(m, n, q)
-    index2 = {(c.lhs, c.path): i for i, c in enumerate(basis2)}
+    index2 = {(c.lhs, kernel.key(c.path)): i for i, c in enumerate(basis2)}
     cols = tuple({} for _ in basis1)
     slots = _insertion_slots(m, n)
     for col, c1 in zip(cols, basis1):
-        for lhs, coeff, w, k in slots.get(c1.arrow, ()):
-            inserted = Path(w.start, w.arrows[:k] + c1.path.arrows + w.arrows[k + 1 :], w.end)
-            for t, c in _nf_terms(m, n, inserted):
-                i = index2.get((lhs, t))
+        value = kernel.ids(c1.path)
+        for lhs, coeff, term, k in slots.get(kernel.ident[c1.arrow], ()):
+            word = term[:k] + value + term[k + 1 :]
+            for t, c in rw.reduce_keys(system, {(len(word), lhs.start, word): 1}).items():
+                i = index2.get((lhs.arrows, t))
                 if i is None:
                     raise CertificationError(
                         "coboundary image leaves the cochain basis",
-                        witness={"rule": lhs, "path": repr(t)},
+                        witness={"rule": lhs.arrows, "path": repr(kernel.path(t))},
                     )
                 linalg.add_term(col, i, coeff * c)
     return ConstraintSystem(basis2, basis1, tuple(map(MappingProxyType, cols)), by_column=True)
@@ -614,11 +614,15 @@ def _bar_data(m: int, n: int):
     ideal of the relations, so does its product with a, and the normal
     form vanishes on that ideal.  So only the u in left[v'] can give a
     nonzero u·v, and only the products with an arrow are rewritten
-    from scratch.  Those are the only products the extension reads
-    back, so only they are kept while the table is built.
+    from scratch, spliced on the rewriting kernel's keys (length,
+    start, arrow ids) and reduced by `rewrite.reduce_keys`.  Those are
+    the only products the extension reads back, so only they are kept
+    while the table is built.
     """
+    system = reduction_system(m, n)
     paths = irreducible_basis(m, n).paths()
-    index = {p: i for i, p in enumerate(paths)}
+    keys = [system.kernel.key(p) for p in paths]
+    index = {key: i for i, key in enumerate(keys)}
     grouped: dict = {}
     for i, p in enumerate(paths):
         grouped.setdefault((p.start, p.end, len(p.arrows)), []).append(i)
@@ -633,17 +637,18 @@ def _bar_data(m: int, n: int):
             for p in paths]
     right = [[] if p.arrows else [x for c in by_start.get(p.end, ()) for x in (c, c, 1)]
              for p in paths]
-    arrows = {paths[i].arrows[0]: i for i in pos if len(paths[i]) == 1}
+    arrows = {ids[0]: i for i, (size, _, ids) in enumerate(keys) if size == 1}
     by_arrow: dict = {}  # (t, a) -> the terms (s, g) of t·a, for an arrow a
     for v in pos:
-        p = paths[v]
-        a = arrows[p.arrows[-1]]
+        size, start, ids = keys[v]
+        a = arrows[ids[-1]]
         accs: dict = {}
-        prefix = index[Path(p.start, p.arrows[:-1], paths[a].start)]
+        prefix = index[size - 1, start, ids[:-1]]
         for u, t, c in _runs(left[prefix], 3):
             acc = accs.setdefault(u, {})
             if v == a:
-                for s, g in _nf_terms(m, n, rw.compose(paths[u], p)):
+                length, source, word = keys[u]
+                for s, g in rw.reduce_keys(system, {(length + 1, source, word + ids): 1}).items():
                     acc[index[s]] = g
             else:
                 for s, g in by_arrow.get((t, a), ()):

@@ -592,31 +592,33 @@ class DualSystemReport(NamedTuple):
 
 @lru_cache(maxsize=None)
 def dual_resolution(m: int, n: int):
-    """Every overlap of `reduction_system(m, n)` resolved once: the
-    diamond report, and per overlap the rule applications that the HH^2
-    cocycle constraints read, as one flat tuple
-    (lhs arrows, factor, prefix, suffix, lhs arrows, ...) of four
-    entries per application, factor +coeff on the left branch and
-    -coeff on the right.  Few contexts are distinct (340 prefixes and
-    400 suffixes over 4,008 applications at (3, 4)), so each distinct
-    prefix and suffix `Path` is held once."""
+    """Every overlap of `reduction_system(m, n)` resolved once by
+    `resolve_overlap`: the diamond report, and per overlap the rule
+    applications that the HH^2 cocycle constraints read, as one flat
+    tuple (start, lhs arrows, factor, head, tail, lhs arrows, ...): the
+    word's start vertex, then four entries per application, the reduced
+    term being factor * head * lhs * tail with head and tail as arrow
+    ids.  The factor is +coeff on the left branch and -coeff on the
+    right.  Few contexts are distinct (306 heads and 366 tails over 4,008
+    applications at (3, 4)), so each distinct tuple is held once."""
     system = reduction_system(m, n)
     overlaps = enumerate_overlaps(system)
     failures, applications = [], []
     contexts: dict = {}
     for overlap in overlaps:
         left, right = resolve_overlap(overlap, system)
-        failures.append(diamond_failure(overlap, left, right))
-        events: list = []
-        for sign, branch in ((1, left), (-1, right)):
-            for e in branch.events:
-                events += (
-                    e.rule.lhs.arrows,
-                    sign * e.coeff,
-                    contexts.setdefault(e.prefix, e.prefix),
-                    contexts.setdefault(e.suffix, e.suffix),
+        failures.append(diamond_failure(overlap, system, left, right))
+        flat: list = [overlap.word.start]
+        for sign, (_, _, events) in ((1, left), (-1, right)):
+            for (rule, k, _, _), _, ids, i, coeff in events:
+                head, tail = ids[:i], ids[i + k :]
+                flat += (
+                    rule.lhs.arrows,
+                    sign * coeff,
+                    contexts.setdefault(head, head),
+                    contexts.setdefault(tail, tail),
                 )
-        applications.append(tuple(events))
+        applications.append(tuple(flat))
     failures = tuple(f for f in failures if f is not None)
     return DiamondReport(not failures, len(overlaps), failures), tuple(applications)
 

@@ -17,23 +17,22 @@ smallest key first without a key function.  The left-hand sides are
 looked up by their first two arrows, and the redex scan resumes: a term
 made by rewriting at position i has no redex starting before
 i - (longest lhs - 1), since a redex wholly inside the untouched prefix
-would have been found first.  `Path`s and `Event`s are built only
-where a caller reads them.
+would have been found first.  `reduce_keys` is the one normal-form
+entry on integer keys; `normal_form` is its wrapper on `Path`s.
 
 Rules may carry a first-order part rhs_t.  Over the dual numbers
 (t squared = 0) the rule lhs -> rhs + t * rhs_t acts on an overlap word
-as follows.  `_resolve_pair` is the one place that resolves an
+as follows.  `resolve_overlap` is the one place that resolves an
 overlap: each branch applies its own rule once and reduces the result,
-recording every rule application with its context (prefix, suffix).
-The order-zero normal form is the plain reduction; the order-one part
-is the sum of prefix * rhs_t * suffix over the applications, reduced
-with the plain rules only.  `resolve_overlap` returns both branches
-with their applications as `Event`s, and `check_diamond` compares the
-branches' normal forms on integers, building paths only for a failure's
-witness (`diamond_failure`).  Since the applications do not depend on
-rhs_t, anything linear in the deformation (the Hochschild cocycle
-constraints) is read off the events of one undeformed run
-(`koszul.dual_resolution`).
+recording every rule application as (table entry, start, arrow ids of
+the reduced term, position, coeff).  The order-zero normal form is the
+plain reduction; the order-one part is the sum of prefix * rhs_t *
+suffix over the applications, reduced with the plain rules only.
+`diamond_failure` compares the branches' integer normal forms and
+builds paths only for a failure's witness; `check_diamond` reads the
+two.  Since the applications do not depend on rhs_t, anything linear
+in the deformation (the Hochschild cocycle constraints) is read off the
+applications of one undeformed run (`koszul.dual_resolution`).
 """
 
 from __future__ import annotations
@@ -333,16 +332,6 @@ def is_irreducible(path: Path, system: ReductionSystem) -> bool:
     return leftmost_redex(path, system) is None
 
 
-class Event(NamedTuple):
-    """One rule application with its context: the reduced term was
-    coeff * prefix * lhs * suffix."""
-
-    rule: Rule
-    prefix: Path
-    suffix: Path
-    coeff: Coeff
-
-
 class _Fuel:
     """A budget of rewriting steps, shared by the reductions it is
     passed to; `_reduce` burns one unit per step."""
@@ -403,11 +392,17 @@ def _reduce(work: dict, kernel: _Kernel, fuel: _Fuel, events=None) -> dict:
     return out
 
 
+def reduce_keys(system: ReductionSystem, terms: dict, fuel: int = DEFAULT_FUEL) -> dict:
+    """The normal form of {key: coeff}, keys as `_Kernel.key` gives
+    them, as {key: coeff}."""
+    return _reduce({key: [c, 0] for key, c in terms.items()}, system.kernel, _Fuel(fuel))
+
+
 def normal_form(x, system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> LinComb:
-    """Reduce a path or combination to its normal form."""
+    """Reduce a path or combination to its normal form: `reduce_keys`
+    on the keys of its paths."""
     kernel = system.kernel
-    work = {kernel.key(p): [c, 0] for p, c in as_lincomb(x).items()}
-    out = _reduce(work, kernel, _Fuel(fuel))
+    out = reduce_keys(system, {kernel.key(p): c for p, c in as_lincomb(x).items()}, fuel)
     return {kernel.path(key): c for key, c in out.items()}
 
 
@@ -448,26 +443,14 @@ class DiamondReport(NamedTuple):
     failures: tuple
 
 
-class Branch(NamedTuple):
-    """One resolution of an overlap word over the dual numbers.
-
-    `events` are its rule applications in order, starting with the
-    overlap's own rule at coefficient 1; `nf0` is the order-zero normal
-    form, and `nf1` is the sum over events of coeff * prefix * rhs_t *
-    suffix, reduced with the plain rules."""
-
-    nf0: LinComb
-    nf1: LinComb
-    events: tuple[Event, ...]
-
-
 def _resolve(kernel: _Kernel, start: str, ids: tuple, i: int, rule: Rule, fuel: int):
     """Apply `rule` at position i of the word, then reduce both orders on
-    one fuel budget.  Returns the order-zero and order-one normal forms
-    as {key: coeff} and the events as `_reduce` records them; the
-    order-one part is formed from the events' integer contexts.  Only
-    the rewriting after the first application is leftmost, so only its
-    terms resume their redex scan."""
+    one fuel budget.  Returns (nf0, nf1, events): the order-zero and
+    order-one normal forms as {key: coeff}, and the rule applications in
+    order as `_reduce` records them, the first being `rule` at i with
+    coefficient 1.  The order-one part is formed from the events'
+    integer contexts.  Only the rewriting after the first application
+    is leftmost, so only its terms resume their redex scan."""
     shared = _Fuel(fuel)
     entry = kernel.table[kernel.ids(rule.lhs)]
     events = [(entry, start, ids, i, 1)]
@@ -483,9 +466,11 @@ def _resolve(kernel: _Kernel, start: str, ids: tuple, i: int, rule: Rule, fuel: 
     return nf0, _reduce(order_one, kernel, shared) if order_one else {}, events
 
 
-def _resolve_pair(kernel: _Kernel, overlap: Overlap, fuel: int) -> tuple:
-    """Both resolutions of the overlap word by `_resolve`: the left rule
-    at its start, the right rule at its end."""
+def resolve_overlap(overlap: Overlap, system: ReductionSystem, fuel: int = DEFAULT_FUEL):
+    """Both one-step resolutions of the overlap word, fully reduced: the
+    left rule applied at its start, the right rule at its end.  Each
+    branch is what `_resolve` returns, on its own fuel budget."""
+    kernel = system.kernel
     word = overlap.word
     ids = kernel.ids(word)
     return (
@@ -494,53 +479,19 @@ def _resolve_pair(kernel: _Kernel, overlap: Overlap, fuel: int) -> tuple:
     )
 
 
-def _branch(kernel: _Kernel, resolved: tuple) -> Branch:
-    """The `Branch` of a `_resolve` result, its paths and events built.
-    Each distinct prefix and suffix `Path` is built once, keyed by its
-    arrow ids, which fix it, or by its vertex when it has length zero."""
-    nf0, nf1, events = resolved
-    contexts: dict = {}
-    path = kernel.path
-    applied = []
-    for (rule, k, _, _), start, ids, i, coeff in events:
-        head, tail = ids[:i], ids[i + k :]
-        prefix = contexts.get(head or start)
-        if prefix is None:
-            prefix = contexts[head or start] = path((i, start, head))
-        suffix = contexts.get(tail or rule.lhs.end)
-        if suffix is None:
-            suffix = contexts[tail or rule.lhs.end] = path((len(tail), rule.lhs.end, tail))
-        applied.append(Event(rule, prefix, suffix, coeff))
-    return Branch(
-        {path(key): c for key, c in nf0.items()},
-        {path(key): c for key, c in nf1.items()},
-        tuple(applied),
-    )
-
-
-def resolve_overlap(
-    overlap: Overlap, system: ReductionSystem, fuel: int = DEFAULT_FUEL
-) -> tuple[Branch, Branch]:
-    """Both one-step resolutions of the overlap word, fully reduced: the
-    left rule applied with the tail as context, the right rule with the
-    head.  Each branch has its own fuel budget."""
-    kernel = system.kernel
-    left, right = _resolve_pair(kernel, overlap, fuel)
-    return _branch(kernel, left), _branch(kernel, right)
-
-
-def diamond_failure(overlap: Overlap, left: Branch, right: Branch) -> dict | None:
-    """None if both resolutions agree over the dual numbers, else a witness."""
-    if left.nf0 == right.nf0 and left.nf1 == right.nf1:
+def diamond_failure(overlap: Overlap, system: ReductionSystem, left, right) -> dict | None:
+    """None if the two branches of `resolve_overlap` agree over the dual
+    numbers, else a witness: the word and the differences of the normal
+    forms, the only paths built."""
+    if left[:2] == right[:2]:
         return None
-    diff0, diff1 = dict(left.nf0), dict(left.nf1)
-    scale_into(diff0, right.nf0, -1)
-    scale_into(diff1, right.nf1, -1)
-    return {
-        "word": repr(overlap.word),
-        "difference": {repr(p): str(c) for p, c in diff0.items()},
-        "difference_t": {repr(p): str(c) for p, c in diff1.items()},
-    }
+    path = system.kernel.path
+    diffs = []
+    for mine, theirs in zip(left[:2], right[:2]):
+        diff = dict(mine)
+        scale_into(diff, theirs, -1)
+        diffs.append({repr(path(key)): str(c) for key, c in diff.items()})
+    return {"word": repr(overlap.word), "difference": diffs[0], "difference_t": diffs[1]}
 
 
 def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondReport:
@@ -549,16 +500,10 @@ def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondR
     Rules with a deformation part are compared over the dual numbers, so
     the report also certifies a first-order deformation when present.
     """
-    kernel = system.kernel
     overlaps = enumerate_overlaps(system)
-    failures = []
-    for o in overlaps:
-        left, right = _resolve_pair(kernel, o, fuel)
-        # normal forms agree exactly when their integer forms do; only a
-        # failure builds its branches, for the witness
-        if left[:2] != right[:2]:
-            failures.append(diamond_failure(o, _branch(kernel, left), _branch(kernel, right)))
-    return DiamondReport(not failures, len(overlaps), tuple(failures))
+    found = (diamond_failure(o, system, *resolve_overlap(o, system, fuel)) for o in overlaps)
+    failures = tuple(f for f in found if f is not None)
+    return DiamondReport(not failures, len(overlaps), failures)
 
 
 class PathTree:

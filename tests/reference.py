@@ -6,7 +6,8 @@ route of its own, a figure that a certificate or an index gives.  The
 surgery engine over (level, position) node tuples and frozenset
 states, and the rewriting engine over arrow-name tuples, are the
 library's earlier kernels kept verbatim as oracles for the integer
-kernels that replaced them.
+kernels that replaced them; `branches` reads an integer overlap
+resolution as the `Branch`es of the reference one.
 """
 
 from __future__ import annotations
@@ -29,17 +30,17 @@ from arcdual.errors import FuelError
 from arcdual.linalg import add_term
 from arcdual.rewrite import (
     DEFAULT_FUEL,
-    Branch,
-    Event,
+    Coeff,
     LinComb,
     Overlap,
     Path,
     ReductionSystem,
+    Rule,
     as_lincomb,
-    diamond_failure,
     enumerate_overlaps,
     is_irreducible,
     path_key,
+    scale_into,
 )
 
 
@@ -340,6 +341,51 @@ def reference_product(a: ArcDiagram, b: ArcDiagram) -> dict[ArcDiagram, int]:
 # `Event` per step.
 
 
+class Event(NamedTuple):
+    """One rule application with its context: the reduced term was
+    coeff * prefix * lhs * suffix."""
+
+    rule: Rule
+    prefix: Path
+    suffix: Path
+    coeff: Coeff
+
+
+class Branch(NamedTuple):
+    """One resolution of an overlap word over the dual numbers.
+
+    `events` are its rule applications in order, starting with the
+    overlap's own rule at coefficient 1; `nf0` is the order-zero normal
+    form, and `nf1` is the sum over events of coeff * prefix * rhs_t *
+    suffix, reduced with the plain rules."""
+
+    nf0: LinComb
+    nf1: LinComb
+    events: tuple[Event, ...]
+
+
+def branches(system: ReductionSystem, resolution) -> tuple[Branch, Branch]:
+    """The two integer branches of `rewrite.resolve_overlap` as
+    `Branch`es, their normal forms and events built on `Path`s, so they
+    compare with those of `resolve_overlap` below."""
+    path = system.kernel.path
+    out = []
+    for nf0, nf1, events in resolution:
+        applied = []
+        for (rule, k, _, _), start, ids, i, coeff in events:
+            tail = ids[i + k :]
+            prefix = path((i, start, ids[:i]))
+            applied.append(Event(rule, prefix, path((len(tail), rule.lhs.end, tail)), coeff))
+        out.append(
+            Branch(
+                {path(key): c for key, c in nf0.items()},
+                {path(key): c for key, c in nf1.items()},
+                tuple(applied),
+            )
+        )
+    return tuple(out)
+
+
 def leftmost_redex(path: Path, system: ReductionSystem):
     """Position and rule of the first redex, or None. At most one rule
     can match at a fixed position since no lhs occurs inside another."""
@@ -432,6 +478,20 @@ def resolve_overlap(
         _resolve(Event(left, no_head, tail, 1), system, fuel),
         _resolve(Event(right, head, no_tail, 1), system, fuel),
     )
+
+
+def diamond_failure(overlap: Overlap, left: Branch, right: Branch) -> dict | None:
+    """None if both resolutions agree over the dual numbers, else a witness."""
+    if left.nf0 == right.nf0 and left.nf1 == right.nf1:
+        return None
+    diff0, diff1 = dict(left.nf0), dict(left.nf1)
+    scale_into(diff0, right.nf0, -1)
+    scale_into(diff1, right.nf1, -1)
+    return {
+        "word": repr(overlap.word),
+        "difference": {repr(p): str(c) for p, c in diff0.items()},
+        "difference_t": {repr(p): str(c) for p, c in diff1.items()},
+    }
 
 
 def reference_diamond_failures(system, fuel: int = DEFAULT_FUEL) -> tuple:

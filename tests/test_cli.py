@@ -150,7 +150,12 @@ def test_diamond_deformed_non_cocycle_fails(tmp_path, capsys):
     code, out, err = run(capsys, "diamond", "2", "2", "--deformed", str(f))
     assert code == 1
     assert "failed" in out
-    assert "witness" in err
+    witness = (
+        "witness: {'word': '<ybar:v^^v->^v^v xbar:^v^v->^vv^ xbar:^vv^->v^v^>', "
+        "'difference': {}, 'difference_t': "
+        "{'<xbar:v^^v->v^v^ xbar:v^v^->vv^^ ybar:vv^^->v^v^>': '-1'}}"
+    )
+    assert witness in err.splitlines()
 
 
 def test_kl_table(capsys):
@@ -421,7 +426,12 @@ def test_hh2_fails_on_a_non_confluent_dual_system(capsys, monkeypatch, fresh_res
     assert code == 1
     assert out == ""
     assert "fails the diamond check" in err
-    assert "witness:" in err
+    witness = (
+        "witness: {'word': '<ybar:^v^v->^^vv xbar:^^vv->^v^v xbar:^v^v->vv^^>', "
+        "'difference': {'<xbar:^v^v->v^^v xbar:v^^v->v^v^ xbar:v^v^->vv^^>': '2'}, "
+        "'difference_t': {}}"
+    )
+    assert witness in err.splitlines()
 
 
 def test_bar_oracle_fails_on_a_non_confluent_dual_system(

@@ -513,13 +513,13 @@ def test_bar_oracle_peak_memory(monkeypatch):
 
 def test_bar_product_table_rewrites_arrow_products_only(monkeypatch):
     computed = []
-    original = hh._nf_terms
+    original = rw.reduce_keys
 
-    def counting(m, n, path):
-        computed.append(path)
-        return original(m, n, path)
+    def counting(system, terms, fuel=rw.DEFAULT_FUEL):
+        computed.append(terms)
+        return original(system, terms, fuel)
 
-    monkeypatch.setattr(hh, "_nf_terms", counting)
+    monkeypatch.setattr(rw, "reduce_keys", counting)
     paths, pos = hh._bar_data.__wrapped__(3, 2)[:2]
     quiver = reduction_system(3, 2).quiver
     arrow_products = sum(len(quiver.out[paths[i].end]) for i in pos)

@@ -6,6 +6,8 @@ reference engines in `reference.py` are the earlier implementations
 over node tuples, frozenset states and arrow-name tuples, kept
 verbatim; every result here must agree with them exactly, including
 the order of rule applications that `koszul.dual_resolution` records.
+The integer resolution is compared through `reference.branches`, which
+builds its `Path`s.
 """
 
 import pytest
@@ -56,15 +58,18 @@ def test_leftmost_redex_matches_reference_at_3_3():
 
 def _insertions(m, n, q):
     """Every path a cocycle constraint in Adams degree q normalises:
-    prefix * cochain value * suffix per rule application."""
+    head * cochain value * tail per rule application."""
+    kernel = koszul.reduction_system(m, n).kernel
     by_lhs: dict = {}
     for c in hh.cochain2_basis(m, n, q):
-        by_lhs.setdefault(c.lhs, []).append(c.path)
+        by_lhs.setdefault(c.lhs, []).append(kernel.ids(c.path))
     for events in koszul.dual_resolution(m, n)[1]:
-        for k in range(0, len(events), 4):
-            lhs, _, pre, suf = events[k : k + 4]
-            for p in by_lhs.get(lhs, ()):
-                yield rw.Path(pre.start, pre.arrows + p.arrows + suf.arrows, suf.end)
+        start = events[0]
+        for k in range(1, len(events), 4):
+            lhs, _, head, tail = events[k : k + 4]
+            for ids in by_lhs.get(lhs, ()):
+                word = head + ids + tail
+                yield kernel.path((len(word), start, word))
 
 
 def test_normal_forms_match_reference_on_the_cochain_insertions_at_3_3_q8():
@@ -77,18 +82,32 @@ def test_normal_forms_match_reference_on_the_cochain_insertions_at_3_3_q8():
     assert lengths == {11, 12}
 
 
-def test_dual_resolution_matches_reference_at_3_3():
-    system = koszul.reduction_system(3, 3)
+def _check_dual_resolution(m, n):
+    """Every branch of every overlap (normal forms and rule applications)
+    and the flat applications of `koszul.dual_resolution` equal those of
+    the reference resolution."""
+    system = koszul.reduction_system(m, n)
+    ids = system.kernel.ids
     applications = []
     for overlap in rw.enumerate_overlaps(system):
-        left, right = rw.resolve_overlap(overlap, system)
-        assert (left, right) == ref.resolve_overlap(overlap, system)
-        events = []
-        for sign, branch in ((1, left), (-1, right)):
+        expected = ref.resolve_overlap(overlap, system)
+        assert ref.branches(system, rw.resolve_overlap(overlap, system)) == expected
+        events = [overlap.word.start]
+        for sign, branch in zip((1, -1), expected):
             for e in branch.events:
-                events += (e.rule.lhs.arrows, sign * e.coeff, e.prefix, e.suffix)
+                events += (e.rule.lhs.arrows, sign * e.coeff, ids(e.prefix), ids(e.suffix))
         applications.append(tuple(events))
-    assert koszul.dual_resolution(3, 3)[1] == tuple(applications)
+    assert koszul.dual_resolution(m, n)[1] == tuple(applications)
+    return len(applications)
+
+
+def test_dual_resolution_matches_reference_at_3_3():
+    assert _check_dual_resolution(3, 3) > 0
+
+
+def test_dual_resolution_matches_reference_at_3_4():
+    # the size `verify 3 4` certifies: 526 overlaps
+    assert _check_dual_resolution(3, 4) == 526
 
 
 def test_deformed_resolution_matches_reference():
@@ -103,7 +122,8 @@ def test_deformed_resolution_matches_reference():
     assert not report.ok
     assert report.failures == ref.reference_diamond_failures(deformed)
     for overlap in rw.enumerate_overlaps(deformed):
-        assert rw.resolve_overlap(overlap, deformed) == ref.resolve_overlap(overlap, deformed)
+        resolution = rw.resolve_overlap(overlap, deformed)
+        assert ref.branches(deformed, resolution) == ref.resolve_overlap(overlap, deformed)
 
 
 def test_fuel_witness_matches_reference():

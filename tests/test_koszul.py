@@ -606,8 +606,9 @@ def test_verify_resolves_each_overlap_once(monkeypatch, capsys):
 
 def test_dual_resolution_holds_each_context_once():
     # (3, 4) resolves 526 overlaps by 4,008 rule applications, whose
-    # contexts are only 340 distinct prefixes and 400 distinct suffixes:
-    # one Path pair per application held 1.14 MB, each context once 0.21 MB
+    # contexts are only 306 distinct heads and 366 distinct tails: one
+    # Path pair per application held 1.14 MB, each Path context once
+    # 0.21 MB, and each arrow-id tuple once 0.18 MB
     K.reduction_system(3, 4)
     gc.collect()
     tracemalloc.start()
@@ -622,11 +623,14 @@ def test_dual_resolution_holds_each_context_once():
     assert held < 400_000
     contexts: dict = {}
     for events in applications:
-        assert len(events) % 4 == 0
-        for context in events[2::4] + events[3::4]:
-            assert isinstance(context, rw.Path)
+        assert isinstance(events[0], str)
+        assert len(events) % 4 == 1
+        for context in events[3::4] + events[4::4]:
+            assert type(context) is tuple
+            assert all(type(a) is int for a in context)
             assert contexts.setdefault(context, context) is context
-    assert sum(len(events) for events in applications) == 4 * 4008
+    assert not any(isinstance(x, rw.Path) for events in applications for x in events)
+    assert sum(len(events) - 1 for events in applications) == 4 * 4008
 
 
 def test_certify_catches_a_corrupted_sign(sys22):

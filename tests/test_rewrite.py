@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference as ref
 from arcdual import koszul
 from arcdual import rewrite as rw
 from arcdual.errors import FuelError
@@ -371,8 +372,14 @@ def _overlap(system, *shorts):
     return found
 
 
+def _branches(system, *shorts):
+    """The two branches of `resolve_overlap` on the overlap word, read
+    as `Path`s through the reference adapter."""
+    return ref.branches(system, rw.resolve_overlap(_overlap(system, *shorts), system))
+
+
 def test_resolve_overlap_events(system):
-    left, _ = rw.resolve_overlap(_overlap(system, "y2", "y11", "x11"), system)
+    left, _ = _branches(system, "y2", "y11", "x11")
     assert left.nf0 == {}
     assert len(left.events) == 1
     assert left.events[0].rule.lhs == path("y2", "y11")
@@ -386,7 +393,7 @@ def test_resolve_overlap_first_order():
     deformed = base.with_deformation(
         {path("y11", "x11").arrows: comb({("x21", "x22", "x32", "y2"): 1})}
     )
-    left, right = rw.resolve_overlap(_overlap(deformed, "y2", "y11", "x11"), deformed)
+    left, right = _branches(deformed, "y2", "y11", "x11")
     # the right branch starts with y11 x11 -> rhs + t * rhs_t behind y2
     first = right.events[0]
     assert first.rule.lhs == path("y11", "x11")
@@ -400,7 +407,7 @@ def test_resolve_overlap_first_order():
     assert right.nf1 == rw.normal_form(path("y2", "x21", "x22", "x32", "y2"), base) == {}
     # a non-cocycle leaves an order-one difference on the same word
     bad = base.with_deformation({path("y11", "x11").arrows: comb({("x21", "y21"): 1})})
-    left, right = rw.resolve_overlap(_overlap(bad, "y2", "y11", "x11"), bad)
+    left, right = _branches(bad, "y2", "y11", "x11")
     assert left.nf1 == {}
     assert right.nf1 == rw.normal_form(path("y2", "x21", "y21"), base) != {}
 

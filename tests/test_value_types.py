@@ -28,7 +28,7 @@ VALUE_TYPES = {
     "arc_algebra": ("ArcDiagram",),
     "combinatorics": ("CupDiagram",),
     "presentation": ("Arrow", "Graph", "RelationBlock", "RelationSet", "RhoReport"),
-    "rewrite": ("Path", "Rule", "Event", "Overlap", "DiamondReport", "Branch"),
+    "rewrite": ("Path", "Rule", "Overlap", "DiamondReport"),
     "koszul": (
         "TaggedLhs",
         "KLPolynomial",
@@ -68,7 +68,7 @@ def test_every_named_tuple_in_the_package_is_listed():
             if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == mod.__name__:
                 found.add(obj)
     assert found == set(CLASSES)
-    assert len(CLASSES) == 23
+    assert len(CLASSES) == 21
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
