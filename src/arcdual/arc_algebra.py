@@ -66,13 +66,14 @@ class ArcDiagram(NamedTuple):
         return f"({self.cup_weight}|{self.mid_weight}|{self.cap_weight})"
 
 
-def _oriented_arcs_ok(shape: str, lam: str) -> bool:
-    return all(lam[i] != lam[j] for i, j in cup_matching(shape).cups)
-
-
-def _ray_pattern_ok(shape: str, lam: str) -> bool:
-    marks = [lam[p] for p in cup_matching(shape).rays]
-    return not any(a == DOWN and b == UP for a, b in zip(marks, marks[1:]))
+def _gluing_fault(shape: str, lam: str) -> int:
+    """The first condition that the cup diagram of `shape` breaks on
+    `lam`, read once: 1 (an arc with equal end marks), else 2 (ray marks
+    reading v ... ^), else 0."""
+    diagram = cup_matching(shape)
+    if any(lam[i] == lam[j] for i, j in diagram.cups):
+        return 1
+    return 2 if DOWN + UP in "".join([lam[p] for p in diagram.rays]) else 0
 
 
 def classify_gluing(alpha: str, lam: str, beta: str) -> int:
@@ -84,11 +85,8 @@ def classify_gluing(alpha: str, lam: str, beta: str) -> int:
         raise ValueError(
             f"weights {alpha!r}, {lam!r}, {beta!r} are not all of one type"
         )
-    if not (_oriented_arcs_ok(alpha, lam) and _oriented_arcs_ok(beta, lam)):
-        return 1
-    if not (_ray_pattern_ok(alpha, lam) and _ray_pattern_ok(beta, lam)):
-        return 2
-    return 0
+    faults = (_gluing_fault(alpha, lam), _gluing_fault(beta, lam))
+    return 1 if 1 in faults else max(faults)
 
 
 def make_arc_diagram(alpha: str, lam: str, beta: str) -> ArcDiagram:

@@ -710,7 +710,7 @@ def hh2_bar_oracle(m: int, n: int, q: int) -> int:
     """
     limit = bar_capacity()
     basis = irreducible_basis(m, n)
-    positive = basis.dimension() - len(basis.trees)  # one length zero path per vertex
+    positive = basis.dimension() - len(basis.sources)  # one length zero path per vertex
     if positive > limit:
         raise CapacityError(
             f"bar complex for ({m}, {n}) needs {positive} basis paths, "

@@ -19,14 +19,13 @@ right-hand side and are certified by exact membership of lhs - rhs in
 the padded quadratic ideal.
 
 The irreducible paths of the reduction system are the basis of the
-dual algebra.  `irreducible_basis` enumerates them once per size, as
-one prefix tree of integers per source vertex, and certifies that the
-enumeration is complete: it runs one level past the top length 2mn,
-and an irreducible path found there raises CertificationError.  The
-index holds integers only, 8 bytes a path: the number of paths per
-(end, length) is read off one source's tree at a time, and `Path`
-objects are built only for the buckets that are read.  The KL
-certificate below and every Hochschild computation read this one index.
+dual algebra.  They are the paths that avoid every left-hand side, so
+`irreducible_basis` counts them on one automaton of the left-hand
+sides, level by level for all sources at once, and stores none.  It
+certifies that the count is complete: a path one past the top length
+2mn raises CertificationError.  `Path` objects are built only for the
+buckets that are read.  The KL certificate below and every Hochschild
+computation read this one basis.
 
 Kazhdan-Lusztig polynomials, computed by the cup-deletion recursion,
 grade the irreducible paths: the coefficient of q^k counts ascending
@@ -43,9 +42,8 @@ rules, so it cross-checks the rewriting machinery.
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from functools import lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 from . import combinatorics as comb
@@ -78,7 +76,7 @@ from .rewrite import (
     add_term,
     diamond_failure,
     enumerate_overlaps,
-    irreducible_tree,
+    irreducible_paths_from,
     make_path,
     make_rule,
     normal_form,
@@ -523,65 +521,120 @@ def kl_poly(lam: str, mu: str) -> KLPolynomial:
 
 
 class IrreducibleBasis:
-    """The irreducible paths of the dual reduction system, as one
-    `PathTree` per source vertex in `trees`.  It holds integers only, 8
-    bytes a path: counts are read off the trees one source at a time,
-    and paths are built only when a bucket is read, and never kept
-    here.  The index is cached and shared, so it is read-only."""
+    """The irreducible paths of a reduction system up to a length,
+    counted level by level on its automaton and never stored.
 
-    __slots__ = ("trees",)
+    Source `sources[i]` owns lane i of a packed count, `width` bits
+    from bit i * width: `counts[length][j]` packs the numbers of paths
+    of that length from every source to `sources[j]`.  The width is the
+    bit length of the largest of those numbers summed over all sources,
+    so no lane carries into the next.  Bit length * len(sources) + i of
+    `reach[s]` is set when some path of that length from source i ends
+    in live state s; a bucket is walked back from the states at its end
+    through the predecessors (`into`) that its start reaches, so only
+    its own paths are visited, and built.  The basis is cached and
+    shared, so it is read-only."""
 
-    def __init__(self, trees: MappingProxyType):
-        self.trees = trees
+    def __init__(self, system: ReductionSystem, max_len: int):
+        automaton = system.automaton
+        self.system = system
+        self.sources = sources = tuple(sorted(system.quiver.vertices, key=comb.sort_key))
+        self.lane = lane = {v: i for i, v in enumerate(sources)}
+        ends = [lane[system.kernel.targets[a]] for a in automaton.arrows]
+        self.into, self.at_end = into, at_end = [[] for _ in ends], {}
+        for s, successors in enumerate(automaton.follow):
+            at_end.setdefault(sources[ends[s]], []).append(s)
+            for t in successors:
+                into[t].append(s)
+
+        # per length from 1 to max_len, the merge of the values of the paths
+        # ending in each state, a path from source i starting at value(i)
+        def sweep(value, merge=operator.add):
+            level = [0] * len(ends)
+            for v in sources:
+                for s in automaton.starts[v]:
+                    level[s] = value(lane[v])
+            for _ in range(max_len):
+                yield level
+                grown = [0] * len(ends)
+                for s, c in enumerate(level):
+                    if c:
+                        for t in automaton.follow[s]:
+                            grown[t] = merge(grown[t], c)
+                level = grown
+
+        def by_end(level):
+            row = [0] * len(sources)
+            for s, c in enumerate(level):
+                row[ends[s]] += c
+            return tuple(row)
+
+        # the totals over all sources fix the lane width
+        totals = [by_end(level) for level in sweep(lambda i: 1)]
+        self.size = len(sources) + sum(map(sum, totals))
+        self.width = width = max([1, *(c for row in totals for c in row)]).bit_length()
+        self.counts = (tuple(1 << i * width for i in range(len(sources))),
+                       *map(by_end, sweep(lambda i: 1 << i * width)))
+        self.reach = [0] * len(ends)
+        for length, level in enumerate(sweep(lambda i: 1 << i, operator.or_), 1):
+            for s, mask in enumerate(level):
+                self.reach[s] |= mask << length * len(sources)
 
     def source_counts(self, source: str) -> dict[tuple[str, int], int]:
         """The number of paths out of `source` per (end, length), nonzero
-        counts only, counted afresh on each call."""
-        tree = self.trees[source]
-        levels, targets = tree.levels, tree.targets
-        counts = {(source, 0): 1}
-        for length in range(1, len(levels) - 1):
-            level = Counter(tree.arrows[levels[length] : levels[length + 1]])
-            for arrow, k in level.items():
-                key = (targets[arrow], length)
-                counts[key] = counts.get(key, 0) + k
-        return counts
+        counts only, read off its lane on each call."""
+        shift, mask = self.lane[source] * self.width, (1 << self.width) - 1
+        return {(end, length): count for length, row in enumerate(self.counts)
+                for end, packed in zip(self.sources, row) if (count := packed >> shift & mask)}
 
     def dimension(self) -> int:
-        return sum(len(tree.parents) for tree in self.trees.values())
+        return self.size
 
     def bucket(self, start: str, end: str, length: int) -> tuple[Path, ...]:
         """The paths from start to end of the given length, in path_key
         order, built on each call."""
-        return self.trees[start].bucket(end, length)
+        path = self.system.kernel.path
+        if length <= 0:
+            return (path((0, start, ())),) if start == end and length == 0 else ()
+        arrows, reach, into = self.system.automaton.arrows, self.reach, self.into
+        bit, stride = 1 << self.lane[start], len(self.sources)
+        word, found = [0] * length, []
+        stack = [(s, length) for s in self.at_end.get(end, ()) if reach[s] >> length * stride & bit]
+        while stack:
+            s, k = stack.pop()
+            word[k - 1] = arrows[s]
+            if k == 1:
+                found.append(tuple(word))
+            else:
+                stack += [(p, k - 1) for p in into[s] if reach[p] >> (k - 1) * stride & bit]
+        return tuple(path((length, start, ids)) for ids in sorted(found))
 
     def paths(self) -> list[Path]:
         """Every basis path, built on each call, in path_key order."""
-        return sorted((p for tree in self.trees.values() for p in tree.paths()), key=path_key)
+        top = len(self.counts) - 1
+        found = (p for v in self.sources for p in irreducible_paths_from(self.system, v, top))
+        return sorted(found, key=path_key)
 
 
 @lru_cache(maxsize=None)
 def irreducible_basis(m: int, n: int) -> IrreducibleBasis:
-    """The irreducible-path basis of the dual algebra, built once per
-    size as one prefix tree per source vertex (`irreducible_tree`).
+    """The irreducible-path basis of the dual algebra, counted once per
+    size on the reduction system's automaton.
 
-    Every tree is grown to one level past the expected top length 2mn;
-    since every prefix of an irreducible path is irreducible, an empty
-    extra level certifies that the enumeration is complete.
+    The count runs to one length past the expected top length 2mn;
+    since every prefix of an irreducible path is irreducible, no path
+    of that length certifies that the basis is complete.
     """
-    system = reduction_system(m, n)
     top = 2 * m * n
-    trees = {}
-    for source in sorted(system.quiver.vertices, key=comb.sort_key):
-        tree = irreducible_tree(system, source, top + 1)
-        levels = tree.levels
-        if len(levels) - 2 > top:  # the length of the longest path
-            raise CertificationError(
-                "irreducible path above the expected top length",
-                witness={"m": m, "n": n, "path": repr(tree.path(levels[top + 1]))},
-            )
-        trees[source] = tree
-    return IrreducibleBasis(MappingProxyType(trees))
+    basis = IrreducibleBasis(reduction_system(m, n), top + 1)
+    if any(basis.counts[top + 1]):
+        vs = basis.sources
+        extra = (p for v in vs for end in vs for p in basis.bucket(v, end, top + 1))
+        raise CertificationError(
+            "irreducible path above the expected top length",
+            witness={"m": m, "n": n, "path": repr(next(extra))},
+        )
+    return basis
 
 
 class DualSystemReport(NamedTuple):

@@ -37,7 +37,6 @@ applications of one undeformed run (`koszul.dual_resolution`).
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -194,27 +193,10 @@ class ReductionSystem:
         return _Kernel(self)
 
     @cached_property
-    def extension_tables(self) -> tuple:
-        """What `irreducible_tree` extends paths with, built once: arrow
-        names in name order and their targets; per vertex the indices of
-        its arrows; per arrow the indices of the arrows that may follow it
-        without completing a length-two left-hand side; and the longer
-        left-hand sides by the index of their last arrow, each as the
-        indices of the other arrows read backwards."""
-        kernel = self.kernel
-        names, targets, ident = kernel.names, kernel.targets, kernel.ident
-        successors = {
-            v: sorted(ident[a.name] for a in out) for v, out in self.quiver.out.items()
-        }
-        follow = [
-            [b for b in successors[targets[a]] if (a, b) not in kernel.table]
-            for a in range(len(names))
-        ]
-        longer: dict[int, set] = {}
-        for lhs in kernel.table:
-            if len(lhs) > 2:
-                longer.setdefault(lhs[-1], set()).add(lhs[-2::-1])
-        return names, targets, successors, follow, longer
+    def automaton(self) -> "_Automaton":
+        """The automaton of the left-hand sides that the irreducible
+        paths are walked and counted on, built once."""
+        return _Automaton(self)
 
     def rule_for(self, lhs_arrows: tuple[str, ...]) -> Rule:
         return self.by_lhs[lhs_arrows]
@@ -319,6 +301,49 @@ class _Kernel:
                         if entry is not None:
                             return i, entry
         return None
+
+
+class _Automaton:
+    """The Aho-Corasick automaton of the left-hand sides on the kernel's
+    arrow ids, kept to its live states.
+
+    Its states are the words of one trie that holds every single arrow
+    and every prefix of a left-hand side.  Reading an arrow moves to the
+    longest suffix of the word read so far that is a state; the suffix
+    link of a state is its longest proper suffix that is one.  A state
+    is dead when it ends a left-hand side or its suffix link is dead;
+    since no left-hand side occurs inside another, a path is irreducible
+    exactly when reading it meets no dead state.  The live states are
+    numbered from 0 by (length, word): `arrows[s]` is the last arrow of
+    state s, `follow[s]` its live successors in arrow order, and
+    `starts[v]` the states of the single arrows out of vertex v, in
+    arrow order."""
+
+    def __init__(self, system: "ReductionSystem"):
+        kernel = system.kernel
+        trie = {()} | {(a,) for a in range(len(kernel.names))}
+        trie |= {lhs[:k] for lhs in kernel.table for k in range(2, len(lhs) + 1)}
+
+        def read(word):
+            while word not in trie:
+                word = word[1:]
+            return word
+
+        dead = set()
+        for word in sorted(trie, key=len):  # a suffix link is shorter
+            if word in kernel.table or word and read(word[1:]) in dead:
+                dead.add(word)
+        live = sorted(trie - dead - {()}, key=lambda w: (len(w), w))
+        number = {word: i for i, word in enumerate(live)}
+        out = {v: sorted(kernel.ident[a.name] for a in arrows)
+               for v, arrows in system.quiver.out.items()}
+        self.arrows = tuple(word[-1] for word in live)
+        self.follow = tuple(
+            tuple(number[t] for b in out[kernel.targets[word[-1]]]
+                  if (t := read(word + (b,))) not in dead)
+            for word in live
+        )
+        self.starts = {v: tuple(number[(a,)] for a in ids) for v, ids in out.items()}
 
 
 def leftmost_redex(path: Path, system: ReductionSystem):
@@ -506,99 +531,22 @@ def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondR
     return DiamondReport(not failures, len(overlaps), failures)
 
 
-class PathTree:
-    """The irreducible paths out of `source` as a prefix tree of integers.
-
-    Node i is one path: `parents[i]` is the node of the path without its
-    last arrow and `arrows[i]` that arrow, an index into `names` (every
-    arrow name, in name order, with its target in `targets`).  Both are
-    flat `array('I')`s, 4 bytes an entry, so a node costs 8 bytes.  Node
-    0 is the length zero path; its entries are unused.  Nodes are
-    numbered level by level, each level in path_key order: the paths of
-    length L are the nodes from `levels[L]` up to `levels[L + 1]`.  Only
-    the nonempty levels are held.  Paths are built only when read.
-    """
-
-    __slots__ = ("source", "names", "targets", "levels", "parents", "arrows")
-
-    def __init__(self, source, names, targets, levels, parents, arrows):
-        self.source = source
-        self.names = names
-        self.targets = targets
-        self.levels = levels
-        self.parents = parents
-        self.arrows = arrows
-
-    def end(self, node: int) -> str:
-        return self.targets[self.arrows[node]] if node else self.source
-
-    def path(self, node: int) -> Path:
-        end = self.end(node)
-        names, parents, arrows = self.names, self.parents, self.arrows
-        back = []
-        while node:
-            back.append(names[arrows[node]])
-            node = parents[node]
-        return Path(self.source, tuple(reversed(back)), end)
-
-    def bucket(self, end: str, length: int) -> tuple[Path, ...]:
-        """The paths of the given length ending at `end`, in path_key order."""
-        if not 0 <= length < len(self.levels) - 1:
-            return ()
-        nodes = range(self.levels[length], self.levels[length + 1])
-        return tuple(self.path(i) for i in nodes if self.end(i) == end)
-
-    def paths(self) -> tuple[Path, ...]:
-        """Every path of the tree, node by node, so in path_key order."""
-        return tuple(self.path(i) for i in range(len(self.parents)))
-
-
-def _reads_back(words: set, parents: array, arrows: array, node: int, depth: int) -> bool:
-    """Whether some word of `words` is the arrows read back from `node`
-    along the parent chain, at most `depth` of them."""
-    back = ()
-    while node and len(back) < depth:
-        back += (arrows[node],)
-        node = parents[node]
-        if back in words:
-            return True
-    return False
-
-
-def irreducible_tree(system: ReductionSystem, source: str, max_len: int) -> PathTree:
-    """The irreducible paths out of a vertex up to the given length.
-
-    Built one length at a time: every prefix of an irreducible path is
-    irreducible, so a path of the next length is an irreducible path
-    extended by an arrow, and it is irreducible when no redex ends at
-    that arrow.  Arrows that would complete a length-two redex are
-    struck from the successor lists up front; a longer left-hand side is
-    looked up on the arrows read back along the parent chain, only
-    when the new arrow ends one.  Extending a level that is in path_key
-    order node by node, each by its arrows in name order, keeps the next
-    level in path_key order, so nothing is sorted.
-    """
-    names, targets, successors, follow, longer = system.extension_tables
-    depth = max(system.lhs_lengths, default=2) - 1
-    parents, arrows, levels = array("I", [0]), array("I", [0]), [0, 1]
-    for _ in range(max_len):
-        for node in range(levels[-2], levels[-1]):
-            for b in follow[arrows[node]] if node else successors[source]:
-                words = longer.get(b)
-                if words and _reads_back(words, parents, arrows, node, depth):
-                    continue
-                parents.append(node)
-                arrows.append(b)
-        if len(parents) == levels[-1]:
-            break
-        levels.append(len(parents))
-    return PathTree(source, names, targets, tuple(levels), parents, arrows)
-
-
 def irreducible_paths_from(
     system: ReductionSystem, source: str, max_len: int
 ) -> tuple[Path, ...]:
     """All irreducible paths out of a vertex up to the given length,
-    including the length zero path, in path_key order: the paths of
-    `irreducible_tree`."""
-    return irreducible_tree(system, source, max_len).paths()
+    including the length zero path, in path_key order.
+
+    Walked level by level on `ReductionSystem.automaton`: a level holds
+    each path's arrow ids with the live state it ends in, and each is
+    extended along that state's live successors.  Extending a level in
+    path_key order path by path, each in arrow order, keeps the next
+    level in path_key order, so nothing is sorted.
+    """
+    automaton, path = system.automaton, system.kernel.path
+    arrows, follow = automaton.arrows, automaton.follow
+    out, level = [Path(source, (), source)], [(s, (arrows[s],)) for s in automaton.starts[source]]
+    for length in range(1, max_len + 1):
+        out += [path((length, source, ids)) for _, ids in level]
+        level = [(t, ids + (arrows[t],)) for s, ids in level for t in follow[s]]
+    return tuple(out)

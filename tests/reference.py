@@ -2,12 +2,13 @@
 the library against.
 
 None of them is read by the library or the CLI: each recomputes, by a
-route of its own, a figure that a certificate or an index gives.  The
-surgery engine over (level, position) node tuples and frozenset
+route of its own, a figure that a certificate or the basis gives.
+The surgery engine over (level, position) node tuples and frozenset
 states, and the rewriting engine over arrow-name tuples, are the
 library's earlier kernels kept verbatim as oracles for the integer
 kernels that replaced them; `branches` reads an integer overlap
-resolution as the `Branch`es of the reference one.
+resolution as the `Branch`es of the reference one.  The two-walk
+`reference_classify_gluing` is kept the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +45,28 @@ from arcdual.rewrite import (
 )
 
 
+def reference_classify_gluing(alpha: str, lam: str, beta: str) -> int:
+    """`arc_algebra.classify_gluing` as it was before it read each cup
+    diagram once: every arc of both diagrams first, then the rays of
+    both."""
+    kind = weight_type(lam)
+    if weight_type(alpha) != kind or weight_type(beta) != kind:
+        raise ValueError(f"weights {alpha!r}, {lam!r}, {beta!r} are not all of one type")
+
+    def arcs_ok(shape):
+        return all(lam[i] != lam[j] for i, j in cup_matching(shape).cups)
+
+    def rays_ok(shape):
+        marks = [lam[p] for p in cup_matching(shape).rays]
+        return not any(a == DOWN and b == UP for a, b in zip(marks, marks[1:]))
+
+    if not (arcs_ok(alpha) and arcs_ok(beta)):
+        return 1
+    if not (rays_ok(alpha) and rays_ok(beta)):
+        return 2
+    return 0
+
+
 def lowest_weight(m: int, n: int) -> str:
     return DOWN * m + UP * n
 
@@ -52,42 +75,40 @@ def highest_weight(m: int, n: int) -> str:
     return UP * n + DOWN * m
 
 
-def basis_counts(basis) -> dict[tuple[str, str, int], int]:
-    """The number of paths of an `IrreducibleBasis` per (start, end,
-    length), nonzero counts only, read off every tree node by node."""
+def basis_counts(m: int, n: int) -> dict[tuple[str, str, int], int]:
+    """The number of irreducible paths of `koszul.reduction_system(m, n)`
+    per (start, end, length), nonzero counts only, read off
+    `reference_tree` path by path up to one past the top length 2mn."""
+    from arcdual.koszul import reduction_system
+
+    system = reduction_system(m, n)
     counts = {}
-    for source, tree in basis.trees.items():
-        counts[source, source, 0] = 1
-        levels, targets = tree.levels, tree.targets
-        for length in range(1, len(levels) - 1):
-            for arrow in tree.arrows[levels[length] : levels[length + 1]]:
-                key = (source, targets[arrow], length)
+    for source in sorted(system.quiver.vertices, key=comb.sort_key):
+        for length, level in enumerate(reference_tree(system, source, 2 * m * n + 1)):
+            for p in level:
+                key = (source, p.end, length)
                 counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def reference_tree(system, source: str, max_len: int):
-    """The levels, parents and arrows of `rewrite.irreducible_tree` as
-    lists, built without its extension tables: every irreducible path
-    is extended by every arrow out of its end, in name order, and kept
-    when the whole word is irreducible."""
-    ident = {name: i for i, name in enumerate(sorted(system.quiver.by_name))}
-    levels, parents, arrows = [0, 1], [0], [0]
-    level = [(0, Path(source, (), source))]
+def reference_tree(system, source: str, max_len: int) -> list[list[Path]]:
+    """The irreducible paths out of `source` up to `max_len`, level by
+    level: the levels of their prefix tree, each in path_key order.
+    Built by brute force: every irreducible path is extended by every
+    arrow out of its end, in name order, and kept when the whole word is
+    irreducible."""
+    levels = [[Path(source, (), source)]]
     for _ in range(max_len):
-        grown = []
-        for node, p in level:
-            for a in sorted(system.quiver.out[p.end], key=lambda a: a.name):
-                word = Path(source, p.arrows + (a.name,), a.target)
-                if is_irreducible(word, system):
-                    grown.append((len(parents), word))
-                    parents.append(node)
-                    arrows.append(ident[a.name])
+        grown = [
+            word
+            for p in levels[-1]
+            for a in sorted(system.quiver.out[p.end], key=lambda a: a.name)
+            if is_irreducible(word := Path(source, p.arrows + (a.name,), a.target), system)
+        ]
         if not grown:
             break
-        levels.append(len(parents))
-        level = grown
-    return levels, parents, arrows
+        levels.append(grown)
+    return levels
 
 
 def ascending_irr_count(lam: str, mu: str, k: int) -> int:

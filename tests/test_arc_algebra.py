@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from arcdual import arc_algebra as alg
 from arcdual import combinatorics as comb
 from arcdual.arc_algebra import ArcDiagram, InvalidDiagram
+from reference import reference_classify_gluing
 
 
 def basis_diagrams(m, n):
@@ -83,11 +84,7 @@ def test_oriented_shapes_match_the_gluing_conditions():
     for m, n in _splits(8):
         shapes = comb.enumerate_weights(m, n)
         for lam in shapes:
-            brute = tuple(
-                a
-                for a in shapes
-                if alg._oriented_arcs_ok(a, lam) and alg._ray_pattern_ok(a, lam)
-            )
+            brute = tuple(a for a in shapes if not alg._gluing_fault(a, lam))
             assert alg.oriented_shapes(lam) == brute, lam
 
 
@@ -115,6 +112,21 @@ def test_rejected_gluings_carry_condition():
     with pytest.raises(InvalidDiagram) as info:
         alg.make_arc_diagram("^^v", "^v^", "^^v")
     assert info.value.condition == 2
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
+def test_classify_gluing_matches_the_two_walk_reference(m, n):
+    weights = comb.enumerate_weights(m, n)
+    found = Counter()
+    for alpha in weights:
+        for lam in weights:
+            for beta in weights:
+                condition = alg.classify_gluing(alpha, lam, beta)
+                assert condition == reference_classify_gluing(alpha, lam, beta)
+                found[condition] += 1
+    assert set(found) == {0, 1, 2}
+    with pytest.raises(ValueError, match="not all of one type"):
+        alg.classify_gluing(weights[0], weights[0], "v" + weights[0])
 
 
 def test_large_gluing_fixture():

@@ -314,7 +314,7 @@ def test_verify_reports_a_short_basis_bucket_as_graded_failure(capsys, monkeypat
     # the dual-system line still certifies the diamond and prints the
     # dimension; the count mismatch is the graded certificate's to report
     full = koszul.irreducible_basis(2, 2)
-    counts = basis_counts(full)
+    counts = basis_counts(2, 2)
     key = max(counts, key=lambda k: (counts[k], k))
     start, end, length = key
 
@@ -326,9 +326,10 @@ def test_verify_reports_a_short_basis_bucket_as_graded_failure(capsys, monkeypat
             return found
 
         def dimension(self):
-            return sum(sum(self.source_counts(v).values()) for v in self.trees)
+            return sum(sum(self.source_counts(v).values()) for v in self.sources)
 
-    monkeypatch.setattr(koszul, "irreducible_basis", lambda m, n: Short(full.trees))
+    short = Short(full.system, 2 * 2 * 2 + 1)
+    monkeypatch.setattr(koszul, "irreducible_basis", lambda m, n: short)
     code, out, err = run(capsys, "verify", "2", "2")
     assert code == 1
     assert out.splitlines() == [

@@ -11,6 +11,8 @@ every graded coefficient at the sizes the benchmark and the README
 quote.
 `relations 3 3`, `relations 4 3` and `diamond 3 4` (526 overlaps) pin
 the K relation rows and the diamond check at the benchmark's sizes.
+`verify 3 3` and `verify 3 4` pin the basis dimension and the graded
+count certificate above (2, 4).
 
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
@@ -68,6 +70,8 @@ COMMANDS = [
     ("relations", "3", "3"),
     ("relations", "4", "3"),
     ("diamond", "3", "4"),
+    ("verify", "3", "3"),
+    ("verify", "3", "4"),
 ]
 
 

@@ -408,7 +408,7 @@ def test_bar_product_table_is_the_normal_form(m, n):
     system = reduction_system(m, n)
     paths, pos, _, _, left, right, containing = hh._bar_data(m, n)
     basis = irreducible_basis(m, n)
-    flat = (p for key in basis_counts(basis) for p in basis.bucket(*key))
+    flat = (p for key in basis_counts(m, n) for p in basis.bucket(*key))
     assert paths == sorted(flat, key=rw.path_key)
     assert pos == [i for i, p in enumerate(paths) if p.arrows]
 

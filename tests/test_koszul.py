@@ -22,7 +22,7 @@ from arcdual.rewrite import (
     normal_form,
     path_key,
 )
-from reference import ascending_irr_count, basis_counts, highest_weight, reference_tree
+from reference import ascending_irr_count, basis_counts, highest_weight
 from test_rewrite import A, RULES_22
 
 
@@ -370,12 +370,12 @@ def test_certify_graded_dimensions(m, n, buckets):
 
 def test_irreducible_basis_buckets_the_enumeration(sys22):
     basis = K.irreducible_basis(2, 2)
-    for (start, end, length), count in basis_counts(basis).items():
+    for (start, end, length), count in basis_counts(2, 2).items():
         bucket = basis.bucket(start, end, length)
         assert len(bucket) == count
         assert bucket == tuple(sorted(bucket, key=path_key))
         assert all((p.start, p.end, len(p)) == (start, end, length) for p in bucket)
-    flat = sorted((p for key in basis_counts(basis) for p in basis.bucket(*key)), key=path_key)
+    flat = sorted((p for key in basis_counts(2, 2) for p in basis.bucket(*key)), key=path_key)
     direct = sorted(
         (
             p
@@ -395,7 +395,7 @@ def test_irreducible_paths_come_in_path_key_order(m, n):
         paths = list(irreducible_paths_from(system, v, 2 * m * n + 1))
         assert paths == sorted(paths, key=path_key)
     basis = K.irreducible_basis(m, n)
-    for key in basis_counts(basis):
+    for key in basis_counts(m, n):
         bucket = basis.bucket(*key)
         assert list(bucket) == sorted(bucket, key=path_key)
 
@@ -455,39 +455,52 @@ def test_basis_index_matches_a_reference_enumeration(m, n):
     for p in reference:
         buckets.setdefault((p.start, p.end, len(p)), []).append(p)
     basis = K.irreducible_basis(m, n)
-    assert basis_counts(basis) == {key: len(b) for key, b in buckets.items()}
+    assert _merged_counts(basis) == {key: len(b) for key, b in buckets.items()}
     assert basis.dimension() == len(reference)
     for key, bucket in buckets.items():
         assert basis.bucket(*key) == tuple(sorted(bucket, key=path_key)), key
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 3)])
-def test_basis_trees_match_a_list_built_reference(m, n):
+@pytest.mark.parametrize("m,n", [(4, 3), (3, 4)])
+def test_source_counts_and_rule_buckets_match_a_reference_enumeration(m, n):
+    # every bucket of every rule's block, at every length up to one past
+    # the top, including the empty ones
     system = K.reduction_system(m, n)
+    top = 2 * m * n
+    buckets = {}
+    for p in _reference_basis(system, top):
+        buckets.setdefault((p.start, p.end, len(p)), []).append(p)
     basis = K.irreducible_basis(m, n)
-    for source, tree in basis.trees.items():
-        levels, parents, arrows = reference_tree(system, source, 2 * m * n + 1)
-        assert tree.parents.typecode == tree.arrows.typecode == "I"
-        assert tree.levels == tuple(levels)
-        assert tree.parents.tolist() == parents
-        assert tree.arrows.tolist() == arrows
-    assert basis.dimension() == {(2, 2): 97, (3, 2): 431, (4, 3): 22679}[m, n]
+    for source in basis.sources:
+        want = {(end, length): len(b) for (start, end, length), b in buckets.items()
+                if start == source}
+        assert basis.source_counts(source) == want, source
+    for start, end in {(r.lhs.start, r.lhs.end) for r in system.rules}:
+        for length in range(top + 2):
+            want = tuple(sorted(buckets.get((start, end, length), ()), key=path_key))
+            assert basis.bucket(start, end, length) == want, (start, end, length)
+
+
+def _merged_counts(basis):
+    """Every source's counts as one dict keyed (start, end, length)."""
+    return {
+        (source, end, length): count
+        for source in basis.sources
+        for (end, length), count in basis.source_counts(source).items()
+    }
 
 
 def test_source_counts_add_up_to_the_global_counts():
     basis = K.irreducible_basis(3, 3)
-    merged = {
-        (source, end, length): count
-        for source in basis.trees
-        for (end, length), count in basis.source_counts(source).items()
-    }
-    assert merged == basis_counts(basis)
+    merged = _merged_counts(basis)
+    assert merged == basis_counts(3, 3)
     assert sum(merged.values()) == basis.dimension()
 
 
 def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
     # (4, 3) has 22,679 irreducible paths; held as Path objects they took
-    # about 5 MB, as lists of ints 0.69 MB, and as arrays 0.23 MB
+    # about 5 MB, as lists of ints 0.69 MB, and as arrays 0.23 MB; counted
+    # on the automaton, which holds no path, about 0.11 MB
     K.reduction_system(4, 3)
     tracemalloc.start()
     try:
@@ -506,7 +519,7 @@ def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
         return original(*fields)
 
     monkeypatch.setattr(rw, "Path", counting)
-    counts = basis_counts(basis)
+    counts = basis_counts(4, 3)
     key = max(counts, key=lambda k: (counts[k], k))
     bucket = basis.bucket(*key)
     assert len(made) == len(bucket) == counts[key] > 1
@@ -518,7 +531,7 @@ def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
 
 def test_certificates_report_a_missing_basis_path(monkeypatch):
     full = K.irreducible_basis(2, 2)
-    counts = basis_counts(full)
+    counts = basis_counts(2, 2)
     key = max(counts, key=lambda k: (counts[k], k))
     start, end, length = key
     want = counts[key]
@@ -532,9 +545,10 @@ def test_certificates_report_a_missing_basis_path(monkeypatch):
             return found
 
         def dimension(self):
-            return sum(sum(self.source_counts(v).values()) for v in self.trees)
+            return sum(sum(self.source_counts(v).values()) for v in self.sources)
 
-    monkeypatch.setattr(K, "irreducible_basis", lambda m, n: Short(full.trees))
+    short = Short(full.system, 2 * 2 * 2 + 1)
+    monkeypatch.setattr(K, "irreducible_basis", lambda m, n: short)
 
     # the dual-system report is the diamond check plus the dimension;
     # only the graded certificate compares counts with KL
@@ -570,20 +584,28 @@ def test_graded_certificate_reports_a_perturbed_kl_coefficient(monkeypatch):
     assert K.certify_dual_system(2, 2).ok
 
 
-def test_verify_enumerates_the_basis_once_per_vertex(monkeypatch, capsys):
-    calls = []
-    original = rw.irreducible_tree
+def test_verify_builds_the_automaton_and_the_levels_once(monkeypatch, capsys):
+    automata, bases = [], []
+    build_automaton, build_basis = rw._Automaton, K.IrreducibleBasis
 
-    def counting(system, source, max_len):
-        calls.append(source)
-        return original(system, source, max_len)
+    def automaton(system):
+        automata.append(system)
+        return build_automaton(system)
 
-    monkeypatch.setattr(rw, "irreducible_tree", counting)
-    monkeypatch.setattr(K, "irreducible_tree", counting)
+    class Counted(build_basis):
+        def __init__(self, system, max_len):
+            bases.append(max_len)
+            super().__init__(system, max_len)
+
+    system = K.reduction_system(4, 3)
+    system.__dict__.pop("automaton", None)
+    monkeypatch.setattr(rw, "_Automaton", automaton)
+    monkeypatch.setattr(K, "IrreducibleBasis", Counted)
     K.irreducible_basis.cache_clear()
     assert cli.main(["verify", "4", "3"]) == 0
     capsys.readouterr()
-    assert len(calls) == len(set(calls)) == len(comb.enumerate_weights(4, 3)) == 35
+    assert automata == [system]
+    assert bases == [2 * 4 * 3 + 1]
 
 
 def test_verify_resolves_each_overlap_once(monkeypatch, capsys):
