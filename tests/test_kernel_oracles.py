@@ -72,6 +72,41 @@ def _insertions(m, n, q):
                 yield kernel.path((len(word), start, word))
 
 
+def _check_find_from_every_start(system, words):
+    """`_Kernel.find(ids, start)` is the reference leftmost redex of the
+    suffix from `start`, shifted by `start`: the contract `_reduce`
+    resumes its scan on."""
+    kernel = system.kernel
+    hits = 0
+    for word in words:
+        ids = kernel.ids(word)
+        for start in range(len(ids) + 1):
+            vertex = kernel.targets[ids[start - 1]] if start else word.start
+            want = ref.leftmost_redex(kernel.path((len(ids) - start, vertex, ids[start:])), system)
+            got = kernel.find(ids, start)
+            if want is None:
+                assert got is None, (word, start)
+            else:
+                assert (got[0], got[1][0]) == (want[0] + start, want[1]), (word, start)
+                hits += 1
+    return hits
+
+
+def test_find_resumes_as_the_reference_from_every_start_at_3_3():
+    system = koszul.reduction_system(3, 3)
+    words = [o.word for o in rw.enumerate_overlaps(system)]
+    words += [p for p, _ in (t for r in system.rules for t in r.rhs)]
+    words += list(_insertions(3, 3, 8))
+    assert _check_find_from_every_start(system, words) > len(words)
+
+
+def test_find_resumes_as_the_reference_from_every_start_at_4_3():
+    system = koszul.reduction_system(4, 3)
+    words = [o.word for o in rw.enumerate_overlaps(system)]
+    assert len(words) == 414
+    assert _check_find_from_every_start(system, words) > len(words)
+
+
 def test_normal_forms_match_reference_on_the_cochain_insertions_at_3_3_q8():
     system = koszul.reduction_system(3, 3)
     # the cochain values have length 10 or 11, the inserted paths 11 or 12

@@ -179,6 +179,43 @@ def test_validation_names_the_nested_lhs_as_the_pairwise_scan(extra, inner):
     assert str(err.value).startswith(f"lhs {path(*inner)!r} occurs inside")
 
 
+def test_validation_agrees_with_the_pairwise_scan_on_every_extra_lhs():
+    # every word of length 2 to 4 (38, 92 and 248 words) added to RULES_22
+    # as an lhs with rhs 0: validation names a nesting as the rule-by-rule
+    # scan does, and otherwise rejects exactly the rhs paths the new lhs
+    # reduces, as the reference redex search finds them
+    base = [rw.make_rule(path(*lhs), comb(rhs)) for lhs, rhs in RULES_22.items()]
+    rhs_paths = [p for r in sorted(base, key=lambda r: rw.path_key(r.lhs)) for p, _ in r.rhs]
+    outcomes: dict = {}
+    for word in _all_words(4):
+        if len(word) < 2:
+            continue
+        extra = rw.make_rule(word, {})
+        rules = base + [extra]
+        alone = rw.ReductionSystem(QBAR, [extra])
+        reducible = [p for p in rhs_paths if ref.leftmost_redex(p, alone) is not None]
+        if word.arrows in {r.lhs.arrows for r in base}:
+            kind, expected = "duplicate", f"duplicate lhs {word!r}"
+        elif nested := _pairwise_nested_message(rules):
+            kind, expected = "nested", nested
+        elif reducible:
+            kind, expected = "reducible", f"reducible right hand side {reducible[0]!r}"
+        else:
+            kind, expected = "built", None
+        if expected is None:
+            assert extra in rw.ReductionSystem(QBAR, rules).rules
+        else:
+            with pytest.raises(ValueError) as err:
+                rw.ReductionSystem(QBAR, rules)
+            assert str(err.value) == expected, word
+        outcomes[len(word), kind] = outcomes.get((len(word), kind), 0) + 1
+    assert outcomes == {
+        (2, "duplicate"): 17, (2, "reducible"): 13, (2, "built"): 8,
+        (3, "nested"): 72, (3, "built"): 20,
+        (4, "nested"): 231, (4, "built"): 17,
+    }
+
+
 def test_validation_rejects_reducible_rhs():
     bad = dict(RULES_22)
     bad[("y2", "x2")] = {("y32", "x32"): 1}
