@@ -20,8 +20,9 @@ the padded quadratic ideal.
 
 The irreducible paths of the reduction system are the basis of the
 dual algebra.  They are the paths that avoid every left-hand side, so
-`irreducible_basis` counts them on one automaton of the left-hand
-sides, level by level for all sources at once, and stores none.  It
+`irreducible_basis` counts them on the index of the left-hand sides
+that rewriting reads (the automaton of `ReductionSystem.kernel`), level
+by level for all sources at once, and stores none.  It
 certifies that the count is complete: a path one past the top length
 2mn raises CertificationError.  `Path` objects are built only for the
 buckets that are read.  The KL certificate below and every Hochschild
@@ -522,7 +523,8 @@ def kl_poly(lam: str, mu: str) -> KLPolynomial:
 
 class IrreducibleBasis:
     """The irreducible paths of a reduction system up to a length,
-    counted level by level on its automaton and never stored.
+    counted level by level on the live states of its kernel's index of
+    the left-hand sides and never stored.
 
     Source `sources[i]` owns lane i of a packed count, `width` bits
     from bit i * width: `counts[length][j]` packs the numbers of paths
@@ -536,13 +538,13 @@ class IrreducibleBasis:
     shared, so it is read-only."""
 
     def __init__(self, system: ReductionSystem, max_len: int):
-        automaton = system.automaton
+        kernel = system.kernel
         self.system = system
         self.sources = sources = tuple(sorted(system.quiver.vertices, key=comb.sort_key))
         self.lane = lane = {v: i for i, v in enumerate(sources)}
-        ends = [lane[system.kernel.targets[a]] for a in automaton.arrows]
+        ends = [lane[kernel.targets[a]] for a in kernel.arrows]
         self.into, self.at_end = into, at_end = [[] for _ in ends], {}
-        for s, successors in enumerate(automaton.follow):
+        for s, successors in enumerate(kernel.follow):
             at_end.setdefault(sources[ends[s]], []).append(s)
             for t in successors:
                 into[t].append(s)
@@ -552,14 +554,14 @@ class IrreducibleBasis:
         def sweep(value, merge=operator.add):
             level = [0] * len(ends)
             for v in sources:
-                for s in automaton.starts[v]:
+                for s in kernel.starts[v]:
                     level[s] = value(lane[v])
             for _ in range(max_len):
                 yield level
                 grown = [0] * len(ends)
                 for s, c in enumerate(level):
                     if c:
-                        for t in automaton.follow[s]:
+                        for t in kernel.follow[s]:
                             grown[t] = merge(grown[t], c)
                 level = grown
 
@@ -596,7 +598,7 @@ class IrreducibleBasis:
         path = self.system.kernel.path
         if length <= 0:
             return (path((0, start, ())),) if start == end and length == 0 else ()
-        arrows, reach, into = self.system.automaton.arrows, self.reach, self.into
+        arrows, reach, into = self.system.kernel.arrows, self.reach, self.into
         bit, stride = 1 << self.lane[start], len(self.sources)
         word, found = [0] * length, []
         stack = [(s, length) for s in self.at_end.get(end, ()) if reach[s] >> length * stride & bit]
@@ -619,7 +621,7 @@ class IrreducibleBasis:
 @lru_cache(maxsize=None)
 def irreducible_basis(m: int, n: int) -> IrreducibleBasis:
     """The irreducible-path basis of the dual algebra, counted once per
-    size on the reduction system's automaton.
+    size on the index of the reduction system's kernel.
 
     The count runs to one length past the expected top length 2mn;
     since every prefix of an irreducible path is irreducible, no path

@@ -13,12 +13,15 @@ Rewriting runs on integers.  Each system numbers its arrows in name
 order (`ReductionSystem.kernel`), so a word is a tuple of arrow ids that
 compares as the tuple of names, and a term is keyed by (length, start,
 ids), which compares exactly as `path_key`: the work list is reduced
-smallest key first without a key function.  The left-hand sides are
-looked up by their first two arrows, and the redex scan resumes: a term
-made by rewriting at position i has no redex starting before
-i - (longest lhs - 1), since a redex wholly inside the untouched prefix
-would have been found first.  `reduce_keys` is the one normal-form
-entry on integer keys; `normal_form` is its wrapper on `Path`s.
+smallest key first without a key function.  The kernel holds one index
+of the left-hand sides, an Aho-Corasick automaton on arrow ids, and
+every search for a left-hand side reads it: the leftmost redex, the
+check that no lhs occurs inside another, `rule_for` and the irreducible
+paths.  The redex scan resumes: a term made by rewriting at position i
+has no redex starting before i - (longest lhs - 1), since a redex
+wholly inside the untouched prefix would have been found first.
+`reduce_keys` is the one normal-form entry on integer keys;
+`normal_form` is its wrapper on `Path`s.
 
 Rules may carry a first-order part rhs_t.  Over the dual numbers
 (t squared = 0) the rule lhs -> rhs + t * rhs_t acts on an overlap word
@@ -146,7 +149,8 @@ def make_rule(lhs: Path, rhs, rhs_t=None, tag: str = "") -> Rule:
 
 class ReductionSystem:
     """Validated rule set over a quiver; `lhs_lengths` lists the lengths
-    of its left-hand sides, and `kernel` holds the rules on integers."""
+    of its left-hand sides, and `kernel` holds the rules on integers
+    with the one index of their left-hand sides."""
 
     def __init__(self, quiver: Quiver, rules):
         self.quiver = quiver
@@ -166,40 +170,24 @@ class ReductionSystem:
                 for p, _ in part:
                     if (p.start, p.end) != (r.lhs.start, r.lhs.end):
                         raise ValueError(f"{p!r} not parallel to lhs {r.lhs!r}")
-        kernel = self.kernel
-        for r in self.rules:
-            a = kernel.ids(r.lhs)
-            segments = {a[i : i + k] for k in self.lhs_lengths
-                        for i in range(len(a) - k + 1)}
-            inner = [kernel.table[x][0] for x in segments - {a} if x in kernel.table]
-            if inner:
-                s = min(inner, key=lambda t: path_key(t.lhs))
-                raise ValueError(f"lhs {s.lhs!r} occurs inside lhs {r.lhs!r}")
+        kernel = self.kernel  # its index rejects a left-hand side inside another
         for r in self.rules:
             for part in (r.rhs, r.rhs_t):
                 for p, _ in part:
-                    if leftmost_redex(p, self) is not None:
+                    if kernel.find(kernel.ids(p), 0) is not None:
                         raise ValueError(f"reducible right hand side {p!r}")
 
     @cached_property
-    def by_lhs(self) -> dict[tuple[str, ...], Rule]:
-        """Each rule by the arrow names of its left-hand side, for
-        `rule_for`; built only when read, since rewriting reads `kernel`."""
-        return {r.lhs.arrows: r for r in self.rules}
-
-    @cached_property
     def kernel(self) -> "_Kernel":
-        """The integer form of the rules that rewriting reads, built once."""
+        """The integer form of the rules and the index of their left-hand
+        sides, built once; every search for a left-hand side reads it."""
         return _Kernel(self)
 
-    @cached_property
-    def automaton(self) -> "_Automaton":
-        """The automaton of the left-hand sides that the irreducible
-        paths are walked and counted on, built once."""
-        return _Automaton(self)
-
     def rule_for(self, lhs_arrows: tuple[str, ...]) -> Rule:
-        return self.by_lhs[lhs_arrows]
+        """The rule with these left-hand side arrow names; KeyError if
+        there is none."""
+        kernel = self.kernel
+        return kernel.table[tuple([kernel.ident[name] for name in lhs_arrows])][0]
 
     def with_deformation(self, assignment) -> "ReductionSystem":
         """Copy with rhs_t set per rule; keys are rules or lhs arrow tuples.
@@ -237,36 +225,76 @@ class ReductionSystem:
 
 
 class _Kernel:
-    """A reduction system on integers.  Arrows are numbered in name
-    order, so tuples of arrow ids compare as the tuples of their names,
-    and a path is keyed by (length, start, arrow ids), which compares
-    exactly as `path_key`.  `table` maps each left-hand side, as arrow
-    ids, to (rule, its length, rhs, rhs_t) with the right-hand sides as
-    (arrow ids, coeff) terms.  `heads[a]` maps each arrow b such that
-    some left-hand side starts a b to the lengths of those that do, and
-    is None for an arrow that starts none.  `reach` is one less than the
-    longest left-hand side."""
+    """A reduction system on integers, with the one index of its
+    left-hand sides.
 
-    __slots__ = ("names", "targets", "ident", "table", "heads", "reach")
+    Arrows are numbered in name order, so tuples of arrow ids compare
+    as the tuples of their names, and a path is keyed by (length,
+    start, arrow ids), which compares exactly as `path_key`.  `table`
+    maps each left-hand side, as arrow ids, to (rule, its length, rhs,
+    rhs_t) with the right-hand sides as (arrow ids, coeff) terms.
+    `reach` is one less than the longest left-hand side.
+
+    The index is the Aho-Corasick automaton of the left-hand sides.
+    Its states are the words of one trie that holds every single arrow
+    and every prefix of a left-hand side; reading an arrow moves to the
+    longest suffix of the word read so far that is a state, and the
+    suffix link of a state is its longest proper suffix that is one.
+    Building it rejects a left-hand side inside another, so reading a
+    word stops first at the end of its leftmost redex, in the state
+    that is that redex: the states that are no left-hand side are live,
+    and a path is irreducible exactly when reading it stays in them.
+    The live states are numbered from 0 by (length, word), so state a
+    is the single arrow a: `arrows[s]` is the last arrow of state s,
+    `step[s]` maps each arrow that can follow it to the next live state
+    or to the table entry of the redex that arrow ends, `follow[s]`
+    holds its live successors in arrow order, and `starts[v]` the
+    states of the arrows out of vertex v, in arrow order."""
+
+    __slots__ = ("names", "targets", "ident", "table", "reach",
+                 "arrows", "step", "follow", "starts")
 
     def __init__(self, system: "ReductionSystem"):
         by_name = system.quiver.by_name
         self.names = names = tuple(sorted(by_name))
         self.targets = tuple(by_name[name].target for name in names)
         self.ident = {name: i for i, name in enumerate(names)}
-        self.table: dict[tuple, tuple] = {}
-        self.heads: list = [None] * len(names)
-        lengths = {(k,): (k,) for k in system.lhs_lengths}
+        self.table = table = {}
         for rule in system.rules:
-            lhs = self.ids(rule.lhs)
-            self.table[lhs] = (rule, len(lhs), self.terms(rule.rhs), self.terms(rule.rhs_t))
-            second = self.heads[lhs[0]]
-            if second is None:
-                second = self.heads[lhs[0]] = {}
-            # one tuple per distinct set of lengths
-            joined = tuple(sorted({*second.get(lhs[1], ()), len(lhs)}))
-            second[lhs[1]] = lengths.setdefault(joined, joined)
+            table[self.ids(rule.lhs)] = (rule, len(rule.lhs), self.terms(rule.rhs),
+                                         self.terms(rule.rhs_t))
         self.reach = max(system.lhs_lengths, default=2) - 1
+        trie = {()} | {(a,) for a in range(len(names))}
+        trie |= {lhs[:k] for lhs in table for k in range(2, len(lhs) + 1)}
+
+        def read(word):
+            while word not in trie:
+                word = word[1:]
+            return word
+
+        # the left-hand sides on the suffix-link chain of each state: those
+        # of a left-hand side's prefixes, itself excluded, lie inside it
+        chain = {(): ()}
+        for word in sorted(trie, key=len)[1:]:
+            chain[word] = ((word,) if word in table else ()) + chain[read(word[1:])]
+        for lhs, (rule, *_) in table.items():
+            inner = [table[w][0] for k in range(2, len(lhs) + 1) for w in chain[lhs[:k]]
+                     if w != lhs]
+            if inner:
+                s = min(inner, key=lambda r: path_key(r.lhs))
+                raise ValueError(f"lhs {s.lhs!r} occurs inside lhs {rule.lhs!r}")
+        live = sorted(trie - table.keys() - {()}, key=lambda w: (len(w), w))
+        number = {word: i for i, word in enumerate(live)}
+        self.starts = {v: tuple(sorted(self.ident[a.name] for a in arrows))
+                       for v, arrows in system.quiver.out.items()}
+        self.arrows = tuple(word[-1] for word in live)
+        self.step = tuple(
+            {b: number[t] if (t := read(word + (b,))) in number else table[t]
+             for b in self.starts[self.targets[word[-1]]]}
+            for word in live
+        )
+        self.follow = tuple(tuple(t for t in step.values() if t.__class__ is int)
+                            for step in self.step)
 
     def terms(self, part) -> tuple:
         return tuple((self.ids(p), c) for p, c in part)
@@ -287,63 +315,17 @@ class _Kernel:
 
     def find(self, ids: tuple, start: int):
         """The leftmost redex of a word of arrow ids that starts at or
-        after position `start`, as (position, table entry), or None.  At
-        most one rule can match at a position since no lhs occurs inside
-        another."""
-        heads, table = self.heads, self.table
-        for i in range(start, len(ids) - 1):
-            second = heads[ids[i]]
-            if second is not None:
-                lengths = second.get(ids[i + 1])
-                if lengths is not None:
-                    for k in lengths:
-                        entry = table.get(ids[i : i + k])
-                        if entry is not None:
-                            return i, entry
+        after position `start`, as (position, table entry), or None: the
+        word is read from `start` until a step ends a left-hand side.
+        Since no lhs occurs inside another, the redex that ends first
+        also starts first, and it is the only one ending there."""
+        if start < len(ids):
+            step, s = self.step, ids[start]
+            for j in range(start + 1, len(ids)):
+                s = step[s][ids[j]]
+                if s.__class__ is tuple:
+                    return j + 1 - s[1], s
         return None
-
-
-class _Automaton:
-    """The Aho-Corasick automaton of the left-hand sides on the kernel's
-    arrow ids, kept to its live states.
-
-    Its states are the words of one trie that holds every single arrow
-    and every prefix of a left-hand side.  Reading an arrow moves to the
-    longest suffix of the word read so far that is a state; the suffix
-    link of a state is its longest proper suffix that is one.  A state
-    is dead when it ends a left-hand side or its suffix link is dead;
-    since no left-hand side occurs inside another, a path is irreducible
-    exactly when reading it meets no dead state.  The live states are
-    numbered from 0 by (length, word): `arrows[s]` is the last arrow of
-    state s, `follow[s]` its live successors in arrow order, and
-    `starts[v]` the states of the single arrows out of vertex v, in
-    arrow order."""
-
-    def __init__(self, system: "ReductionSystem"):
-        kernel = system.kernel
-        trie = {()} | {(a,) for a in range(len(kernel.names))}
-        trie |= {lhs[:k] for lhs in kernel.table for k in range(2, len(lhs) + 1)}
-
-        def read(word):
-            while word not in trie:
-                word = word[1:]
-            return word
-
-        dead = set()
-        for word in sorted(trie, key=len):  # a suffix link is shorter
-            if word in kernel.table or word and read(word[1:]) in dead:
-                dead.add(word)
-        live = sorted(trie - dead - {()}, key=lambda w: (len(w), w))
-        number = {word: i for i, word in enumerate(live)}
-        out = {v: sorted(kernel.ident[a.name] for a in arrows)
-               for v, arrows in system.quiver.out.items()}
-        self.arrows = tuple(word[-1] for word in live)
-        self.follow = tuple(
-            tuple(number[t] for b in out[kernel.targets[word[-1]]]
-                  if (t := read(word + (b,))) not in dead)
-            for word in live
-        )
-        self.starts = {v: tuple(number[(a,)] for a in ids) for v, ids in out.items()}
 
 
 def leftmost_redex(path: Path, system: ReductionSystem):
@@ -537,15 +519,15 @@ def irreducible_paths_from(
     """All irreducible paths out of a vertex up to the given length,
     including the length zero path, in path_key order.
 
-    Walked level by level on `ReductionSystem.automaton`: a level holds
-    each path's arrow ids with the live state it ends in, and each is
-    extended along that state's live successors.  Extending a level in
-    path_key order path by path, each in arrow order, keeps the next
-    level in path_key order, so nothing is sorted.
+    Walked level by level on the index of `ReductionSystem.kernel`: a
+    level holds each path's arrow ids with the live state it ends in,
+    and each is extended along that state's live successors.  Extending
+    a level in path_key order path by path, each in arrow order, keeps
+    the next level in path_key order, so nothing is sorted.
     """
-    automaton, path = system.automaton, system.kernel.path
-    arrows, follow = automaton.arrows, automaton.follow
-    out, level = [Path(source, (), source)], [(s, (arrows[s],)) for s in automaton.starts[source]]
+    kernel = system.kernel
+    arrows, follow, path = kernel.arrows, kernel.follow, kernel.path
+    out, level = [Path(source, (), source)], [(s, (arrows[s],)) for s in kernel.starts[source]]
     for length in range(1, max_len + 1):
         out += [path((length, source, ids)) for _, ids in level]
         level = [(t, ids + (arrows[t],)) for s, ids in level for t in follow[s]]

@@ -412,7 +412,7 @@ def leftmost_redex(path: Path, system: ReductionSystem):
     can match at a fixed position since no lhs occurs inside another."""
     arrows = path.arrows
     n = len(arrows)
-    by_lhs = system.by_lhs
+    by_lhs = {r.lhs.arrows: r for r in system.rules}
     for i in range(n - 1):
         for k in system.lhs_lengths:
             if i + k > n:

@@ -500,7 +500,9 @@ def test_source_counts_add_up_to_the_global_counts():
 def test_basis_index_is_compact_and_builds_only_the_bucket_read(monkeypatch):
     # (4, 3) has 22,679 irreducible paths; held as Path objects they took
     # about 5 MB, as lists of ints 0.69 MB, and as arrays 0.23 MB; counted
-    # on the automaton, which holds no path, about 0.11 MB
+    # on the automaton, which holds no path, about 0.11 MB.  The automaton
+    # is the index of the kernel, built with the system, so it is not
+    # part of what is measured here
     K.reduction_system(4, 3)
     tracemalloc.start()
     try:
@@ -585,12 +587,13 @@ def test_graded_certificate_reports_a_perturbed_kl_coefficient(monkeypatch):
 
 
 def test_verify_builds_the_automaton_and_the_levels_once(monkeypatch, capsys):
-    automata, bases = [], []
-    build_automaton, build_basis = rw._Automaton, K.IrreducibleBasis
+    # the automaton of the left-hand sides is the index of the kernel
+    kernels, bases = [], []
+    build_kernel, build_basis = rw._Kernel, K.IrreducibleBasis
 
-    def automaton(system):
-        automata.append(system)
-        return build_automaton(system)
+    def kernel(system):
+        kernels.append(system)
+        return build_kernel(system)
 
     class Counted(build_basis):
         def __init__(self, system, max_len):
@@ -598,13 +601,13 @@ def test_verify_builds_the_automaton_and_the_levels_once(monkeypatch, capsys):
             super().__init__(system, max_len)
 
     system = K.reduction_system(4, 3)
-    system.__dict__.pop("automaton", None)
-    monkeypatch.setattr(rw, "_Automaton", automaton)
+    system.__dict__.pop("kernel", None)
+    monkeypatch.setattr(rw, "_Kernel", kernel)
     monkeypatch.setattr(K, "IrreducibleBasis", Counted)
     K.irreducible_basis.cache_clear()
     assert cli.main(["verify", "4", "3"]) == 0
     capsys.readouterr()
-    assert automata == [system]
+    assert kernels == [system]
     assert bases == [2 * 4 * 3 + 1]
 
 
