@@ -114,7 +114,6 @@ def _linear_string(paths, row) -> str:
 
 
 def cmd_relations(args) -> int:
-    from . import linalg
     from . import presentation
 
     relations = presentation.relations_K(args.m, args.n)
@@ -126,8 +125,7 @@ def cmd_relations(args) -> int:
             continue
         print(f"{block.source} -> {block.target}")
         for row in block.rows:
-            normalized = linalg.primitive_integer_vector(row)
-            print(f"  {_linear_string(block.paths, normalized)} = 0")
+            print(f"  {_linear_string(block.paths, row)} = 0")
     return 0
 
 

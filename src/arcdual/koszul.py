@@ -4,19 +4,22 @@ reduction system.
 The opposite quiver carries the quadratic dual of the diagram algebra.
 Its relation space is computed block by block as the exact orthogonal
 complement of the plain relations under the pairing that matches a
-length-two path with its reversed dual path.
+length-two path with its reversed dual path.  Both relation spaces are
+held as reduced echelon rows of primitive integers, so the complement
+is read off the plain rows without elimination.
 
 On top of the dual relations sits a reduction system.  Left-hand sides
 are the peak words (up-down through a common top), the reducible
 two-step ascents and descents, and a family of longer staircase words
 whose final exchange closes a cup carried along from the start.  Every
 length-two right-hand side is produced by certified linear elimination
-inside the corresponding relation block: the designated reducible
-paths must be exactly the pivot columns, so each rewrite rule is the
-unique expression of its left-hand side by irreducible paths modulo
-the ideal.  The longer rules take the signed alternate staircase as
-right-hand side and are certified by exact membership of lhs - rhs in
-the padded quadratic ideal.
+inside the corresponding relation block, one integer elimination per
+block: the designated reducible paths must be exactly the pivot
+columns, so each rewrite rule is the unique expression of its
+left-hand side by irreducible paths modulo the ideal.  The longer
+rules take the signed alternate staircase as right-hand side and are
+certified by exact membership of lhs - rhs in the padded quadratic
+ideal.
 
 The irreducible paths of the reduction system are the basis of the
 dual algebra.  They are the paths that avoid every left-hand side, so
@@ -34,8 +37,11 @@ irreducible paths of length k, and the number of irreducible paths of
 length i between two vertices is the coefficient of q^i in the product
 of their KL columns.  `certify_graded_dimensions` is the one place that
 compares the index with that product, one source vertex at a time
-against its KL row; `certify_dual_system` is the diamond check plus
-the dimension.  The overlaps are resolved once per size
+against its KL row.  It packs each polynomial and each block's counts
+into one integer, a lane of bits per degree (Kronecker substitution),
+so a block's expected counts are a sum of bigint products and one
+comparison checks every degree.  `certify_dual_system` is the diamond
+check plus the dimension.  The overlaps are resolved once per size
 (`dual_resolution`): the diamond report and the HH^2 cocycle
 constraints read the same resolution.  The KL side uses no rewrite
 rules, so it cross-checks the rewriting machinery.
@@ -44,7 +50,9 @@ rules, so it cross-checks the rewriting machinery.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import combinatorics as comb
@@ -66,7 +74,7 @@ from .presentation import (
     build_quiver,
     dual_arrow,
     exchange_cup_between,
-    paths_of_length_two,
+    length_two_blocks,
     relations_K,
 )
 from .rewrite import (
@@ -91,12 +99,33 @@ from .rewrite import (
 # dual quadratic relations
 
 
+def _complement(rows, ncols: int) -> list[dict]:
+    """A basis of the vectors orthogonal to reduced integer rows, read
+    off without elimination: one primitive integer vector per free
+    column, nonzero there and at the pivots of the rows that hold it."""
+    pivots = {next(j for j, c in enumerate(row) if c): row for row in rows}
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        hits = [(p, row) for p, row in pivots.items() if row[free]]
+        scale = lcm(*(row[p] for p, row in hits))
+        vec = {free: scale}
+        for p, row in hits:
+            vec[p] = -row[free] * (scale // row[p])
+        g = gcd(*vec.values())
+        out.append({k: c // g for k, c in vec.items()})
+    return out
+
+
 def orthogonal_relations(relations: RelationSet) -> RelationSet:
     """Blockwise orthogonal complement on the opposite quiver.
 
     A length-two path (a, b) pairs with the reversed dual path
     (dual(b), dual(a)); the complement is taken with respect to the
-    dot product in these matched coordinates.  Certifies exact
+    dot product in these matched coordinates.  The plain rows are in
+    reduced echelon form, so the complement is read off them and put in
+    the same form once, in dual coordinates.  Certifies exact
     orthogonality and that block dimensions are complementary.  With no
     blocks (m = 0 or n = 0: no arrows) the complement is empty too.
     """
@@ -106,9 +135,10 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
         return RelationSet(True, ())
     m, n = weight_type(relations.blocks[0].source)
     qbar = build_quiver(m, n, dual=True)
+    dual_blocks = {(s, t): paths for s, t, paths in length_two_blocks(qbar)}
     out_blocks = []
     for b in relations.blocks:
-        dual_paths = paths_of_length_two(qbar, b.target, b.source)
+        dual_paths = dual_blocks.get((b.target, b.source), ())
         if len(dual_paths) != len(b.paths):
             raise CertificationError(
                 "dual path count mismatch",
@@ -116,9 +146,9 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
             )
         col = {p: i for i, p in enumerate(dual_paths)}
         perm = [col[(dual_arrow(b2), dual_arrow(b1))] for (b1, b2) in b.paths]
-        permuted = [{j: c for c, j in zip(row, perm) if c} for row in b.rows]
-        kernel = linalg.nullspace(permuted, len(dual_paths))
-        reduced, _ = linalg.rref(kernel)
+        reduced = linalg.integer_echelon(
+            {perm[j]: c for j, c in vec.items()} for vec in _complement(b.rows, len(b.paths))
+        )
         if len(reduced) + len(b.rows) != len(dual_paths):
             raise CertificationError(
                 "complement dimensions do not add up",
@@ -129,17 +159,16 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
                     "dual": len(reduced),
                 },
             )
-        dual_rows = [dict(enumerate(r)) for r in reduced]
-        if linalg.first_nonzero_product(permuted, dual_rows) is not None:
+        permuted = [{j: c for c, j in zip(row, perm) if c} for row in b.rows]
+        if linalg.first_nonzero_product(permuted, reduced.values()) is not None:
             raise CertificationError(
                 "pairing of relation spaces is not zero",
                 witness={"block": (b.target, b.source)},
             )
-        out_blocks.append(
-            RelationBlock(
-                b.target, b.source, dual_paths, tuple(tuple(r) for r in reduced)
-            )
+        rows = tuple(
+            tuple(row.get(j, 0) for j in range(len(dual_paths))) for row in reduced.values()
         )
+        out_blocks.append(RelationBlock(b.target, b.source, dual_paths, rows))
     out_blocks.sort(key=lambda b: (comb.sort_key(b.source), comb.sort_key(b.target)))
     return RelationSet(True, tuple(out_blocks))
 
@@ -291,27 +320,17 @@ def build_S(m: int, n: int) -> tuple[TaggedLhs, ...]:
 # right-hand sides by certified elimination
 
 
-def _paths_from(qbar: Quiver, source: str, length: int):
-    """All paths of the given length out of a vertex, reducible or not."""
-    out = [Path(source, (), source)]
-    for _ in range(length):
-        out = [
-            Path(source, p.arrows + (a.name,), a.target)
-            for p in out
-            for a in qbar.out[p.end]
-        ]
-    return sorted(out, key=path_key)
-
-
 def _eliminate_block(
-    qbar: Quiver, block: RelationBlock | None, designated: list[TaggedLhs]
+    block: RelationBlock | None, designated: list[TaggedLhs]
 ) -> dict[tuple[str, ...], LinComb]:
     """Solve a length-two relation block for its designated paths.
 
     The relation rows are re-ordered with the designated columns
-    first; the reduced form must have exactly those as pivots, which
-    makes the elimination unique and every complementary term
-    irreducible in the block.
+    first and put in reduced echelon form on integers once; that form
+    must have exactly those columns as pivots, which makes the
+    elimination unique and every complementary term irreducible in the
+    block.  Paths stay arrow-name tuples until a rule or a witness
+    needs them.
     """
     key = (designated[0].path.start, designated[0].path.end)
     if block is None or not block.rows:
@@ -319,41 +338,39 @@ def _eliminate_block(
             "no relations available to eliminate a designated path",
             witness={"block": key, "designated": [repr(s.path) for s in designated]},
         )
-    pobjs = [make_path(qbar, [a, b]) for a, b in block.paths]
+    names = [(a.name, b.name) for a, b in block.paths]
+
+    def path(i):
+        return Path(block.source, names[i], block.target)
+
     des_arrows = {s.path.arrows for s in designated}
-    des_idx = sorted(
-        (i for i, p in enumerate(pobjs) if p.arrows in des_arrows),
-        key=lambda i: path_key(pobjs[i]),
-    )
-    free_idx = sorted(
-        (i for i, p in enumerate(pobjs) if p.arrows not in des_arrows),
-        key=lambda i: path_key(pobjs[i]),
-    )
-    if len(des_idx) != len(des_arrows):
+    designated_count = sum(p in des_arrows for p in names)
+    if designated_count != len(des_arrows):
         raise CertificationError(
             "designated path missing from its block",
             witness={"block": key},
         )
-    order = des_idx + free_idx
-    rows = [[row[j] for j in order] for row in block.rows]
-    reduced, pivots = linalg.rref(rows)
-    if pivots != list(range(len(des_idx))):
+    # the designated columns first, each part in path_key order
+    order = sorted(range(len(names)), key=lambda i: (names[i] not in des_arrows, names[i]))
+    reduced = linalg.integer_echelon(
+        {c: row[j] for c, j in enumerate(order) if row[j]} for row in block.rows
+    )
+    if list(reduced) != list(range(designated_count)):
         raise CertificationError(
             "designated paths are not the pivots of their relation block",
             witness={
                 "block": key,
-                "designated": [repr(pobjs[i]) for i in des_idx],
-                "pivots": [repr(pobjs[order[p]]) for p in pivots],
+                "designated": [repr(path(i)) for i in order[:designated_count]],
+                "pivots": [repr(path(order[p])) for p in reduced],
             },
         )
-    out = {}
-    for r, row in enumerate(reduced):
-        phi: LinComb = {}
-        for c in range(len(des_idx), len(order)):
-            if row[c]:
-                add_term(phi, pobjs[order[c]], -row[c])
-        out[pobjs[des_idx[r]].arrows] = phi
-    return out
+    # no row holds another pivot, so every other key is a free column
+    return {
+        names[order[r]]: {
+            path(order[c]): linalg.exact(Fraction(-x, row[r])) for c, x in row.items() if c != r
+        }
+        for r, row in reduced.items()
+    }
 
 
 def _certify_cubic_membership(qbar, relations, entries):
@@ -363,37 +380,53 @@ def _certify_cubic_membership(qbar, relations, entries):
     entries maps (source, target, length) to a list of
     (lhs path, alternate path, sign) triples sharing that block.  The
     ideal in a block is spanned by prefix * relation * suffix, as sparse
-    vectors keyed by arrow tuples, and is put in echelon form once.
+    vectors keyed by arrow-name tuples, and is put in reduced integer
+    form once.  The prefixes out of each source and the suffixes into
+    each target are enumerated once per length, as name tuples grouped
+    by their other end.
     """
-    by_source = {}
+    # per source, each block's target and its rows as (name pair, coeff) terms
+    by_source: dict = {}
     for b in relations.blocks:
         if b.rows:
-            by_source.setdefault(b.source, []).append(b)
+            names = [(x.name, y.name) for x, y in b.paths]
+            terms = [[(p, c) for p, c in zip(names, row) if c] for row in b.rows]
+            by_source.setdefault(b.source, []).append((b.target, terms))
+    walks: dict = {}
+
+    def walks_at(vertex: str, length: int, out: bool) -> dict[str, list[tuple[str, ...]]]:
+        """The paths of a length out of (or into) a vertex as name
+        tuples, grouped by their other end."""
+        if (vertex, length, out) not in walks:
+            grown: dict = {}
+            if length == 0:
+                grown[vertex] = [()]
+            elif out:
+                for end, words in walks_at(vertex, length - 1, out).items():
+                    for a in qbar.out[end]:
+                        grown.setdefault(a.target, []).extend(w + (a.name,) for w in words)
+            else:
+                for start, words in walks_at(vertex, length - 1, out).items():
+                    for a in qbar.into[start]:
+                        grown.setdefault(a.source, []).extend((a.name,) + w for w in words)
+            walks[vertex, length, out] = grown
+        return walks[vertex, length, out]
+
     for (source, target, length), triples in sorted(entries.items()):
         rows = []
         for cut in range(length - 1):
-            for prefix in _paths_from(qbar, source, cut):
-                for block in by_source.get(prefix.end, ()):
-                    for suffix in _paths_from(qbar, block.target, length - cut - 2):
-                        if suffix.end != target:
-                            continue
-                        for row in block.rows:
-                            rows.append(
-                                {
-                                    prefix.arrows + (a.name, b.name) + suffix.arrows: coeff
-                                    for coeff, (a, b) in zip(row, block.paths)
-                                    if coeff
-                                }
-                            )
-        basis = linalg.echelon(rows)
+            for mid, prefixes in walks_at(source, cut, True).items():
+                for block_target, terms in by_source.get(mid, ()):
+                    suffixes = walks_at(target, length - cut - 2, False).get(block_target, ())
+                    rows += [
+                        {prefix + pair + suffix: c for pair, c in row}
+                        for prefix in prefixes
+                        for suffix in suffixes
+                        for row in terms
+                    ]
+        basis = linalg.integer_echelon(rows)
         for lhs, alt, sign in triples:
-            residue = {lhs.arrows: 1, alt.arrows: -sign}
-            # no tail holds a pivot key, so one pass clears every pivot
-            for key in [k for k in residue if k in basis]:
-                c = residue.pop(key)
-                for k, x in basis[key].items():
-                    residue[k] = residue.get(k, 0) - c * x
-            if any(residue.values()):
+            if linalg.residue({lhs.arrows: 1, alt.arrows: -sign}, basis):
                 raise CertificationError(
                     "staircase rule is not congruent to its alternate path",
                     witness={"lhs": repr(lhs), "alternate": repr(alt), "sign": sign},
@@ -415,7 +448,7 @@ def reduction_system(m: int, n: int) -> ReductionSystem:
         by_block.setdefault((s.path.start, s.path.end), []).append(s)
     rules = []
     for (source, target), group in sorted(by_block.items()):
-        phis = _eliminate_block(qbar, relations.block(source, target), group)
+        phis = _eliminate_block(relations.block(source, target), group)
         for s in group:
             phi = phis[s.path.arrows]
             if s.tag == TYPE_MONOMIAL and phi:
@@ -695,6 +728,13 @@ class GradedDimensionReport(NamedTuple):
     mismatches: tuple
 
 
+def _pack(coefficients, width: int) -> int:
+    """A polynomial with nonnegative coefficients below 2**width as one
+    int, coefficient i in bits i * width onwards (Kronecker
+    substitution)."""
+    return sum(c << i * width for i, c in enumerate(coefficients))
+
+
 def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     """Irreducible-path counts against KL, degree by degree.
 
@@ -703,38 +743,48 @@ def certify_graded_dimensions(m: int, n: int) -> GradedDimensionReport:
     (Brundan-Stroppel, Koszulity).  Every degree 0..2mn of every block
     is compared, plus any higher degree the KL product reaches; a
     mismatch is (lam, mu, i, got, want), in weight order and then by i.
-    The counts are read one source lam at a time, so only one source's
-    counts are held.
+
+    The comparison runs on packed integers, one lane of `width` bits per
+    degree: each KL polynomial is packed once, so the expected value of
+    a block is a sum of bigint products, and the counts of a block are
+    packed from `source_counts`, read one source lam at a time so that
+    only one source's counts are held.  The width is the bit length of
+    the largest count read so far or of max_lam sum_kappa P_kappa,lam(1)^2,
+    whichever is larger; by Cauchy-Schwarz the latter bounds every
+    expected coefficient.  All lanes are nonnegative and below 2**width,
+    so the packed values are equal exactly when every degree agrees.
+    Lanes are unpacked only for a block that differs.
     """
     basis = irreducible_basis(m, n)
     weights = comb.enumerate_weights(m, n)
     top = 2 * m * n
-    columns = {}
-    for lam in weights:
-        column = ((kappa, kl_poly(kappa, lam).coefficients) for kappa in weights)
-        columns[lam] = {kappa: poly for kappa, poly in column if poly}
+    columns = [[kl_poly(kappa, lam).coefficients for kappa in weights] for lam in weights]
+    bound = max(sum(sum(poly) ** 2 for poly in column) for column in columns)
+    width, packed = 0, []
     mismatches = []
     buckets = 0
-    for lam in weights:
+    for k, lam in enumerate(weights):
         counts = basis.source_counts(lam)
-        for mu in weights:
-            expected = [0] * (top + 1)
-            for kappa, left in columns[lam].items():
-                right = columns[mu].get(kappa)
-                if right is None:
-                    continue
-                reach = len(left) + len(right) - 1
-                if reach > len(expected):
-                    expected.extend([0] * (reach - len(expected)))
-                for a, ca in enumerate(left):
-                    if ca:
-                        for b, cb in enumerate(right, a):
-                            expected[b] += ca * cb
-            buckets += top + 1 + sum(1 for want in expected[top + 1 :] if want)
-            for i, want in enumerate(expected):
-                got = counts.get((mu, i), 0)
-                if got != want:
-                    mismatches.append((lam, mu, i, got, want))
+        if (need := max([bound, *counts.values()]).bit_length()) > width:
+            width = need
+            packed = [[_pack(poly, width) for poly in column] for column in columns]
+        mask = (1 << width) - 1
+        got = dict.fromkeys(weights, 0)
+        for (end, i), count in counts.items():
+            got[end] |= count << i * width
+        for mu, right in zip(weights, packed):
+            want = sum(map(operator.mul, packed[k], right))
+            high = want >> (top + 1) * width
+            buckets += top + 1
+            while high:
+                buckets += bool(high & mask)
+                high >>= width
+            if got[mu] != want:
+                lanes = max(top + 1, -(-want.bit_length() // width))
+                for i in range(lanes):
+                    expected, count = want >> i * width & mask, counts.get((mu, i), 0)
+                    if count != expected:
+                        mismatches.append((lam, mu, i, count, expected))
     return GradedDimensionReport(
         not mismatches, len(weights) ** 2, buckets, tuple(mismatches)
     )

@@ -1,18 +1,20 @@
 """Exact linear algebra over the rationals.
 
-One elimination kernel, `echelon`, reduces sparse vectors (dicts from
-ordered keys to exact numbers) to reduced row echelon form, each pivot
-the least key of its row.  That form is unique, so the result depends
-on the span of the input only, and elimination is free to take the
-vectors bottom-up, in descending order of their least key: most new
+One elimination kernel, `_pivot_rows`, reduces sparse vectors (dicts
+from ordered keys to exact numbers) to reduced row echelon form, each
+pivot the least key of its row.  That form is unique, so the result
+depends on the span of the input only, and elimination is free to take
+the vectors bottom-up, in descending order of their least key: most new
 pivots then lie below every earlier one and need no back-substitution.
-`nullspace` reads sparse vectors and returns dense kernel vectors;
-`rref` and `rank` are thin wrappers over dense rows, and
-`first_nonzero_product` checks that a product of sparse vectors
-vanishes.  Elimination is fraction-free: vectors are scaled to integers
-once, pivot rows stay integral, and only the returned tails are
-`Fraction`s; `rank` and `sparse_rank` count the pivot rows and build no
-tails.
+Elimination is fraction-free: vectors are scaled to integers once and
+every row stays an integer vector.  `integer_echelon` returns the rows
+as primitive integer vectors and `residue` reduces one more vector
+against them, so a certificate that only needs a span, a rank or a
+membership never builds a `Fraction`.  `echelon` divides each row by
+its pivot into `Fraction` tails, which only `nullspace` reads: it
+returns dense kernel vectors.  `rank` and `sparse_rank` count the pivot
+rows, and `first_nonzero_product` checks that a product of sparse
+vectors vanishes.
 
 Coefficients above this kernel are exact rationals held as `int`s
 wherever they are integral, and as `Fraction`s only where a denominator
@@ -114,6 +116,31 @@ def _pivot_rows(vectors) -> dict:
     return rows
 
 
+def integer_echelon(vectors) -> dict:
+    """Reduced row echelon form of the span of sparse vectors on integers.
+
+    Returns {pivot key: row} in key order; each row is a primitive
+    integer vector, positive at its pivot key, zero at every other
+    pivot key and with no key below its pivot.  The reduced form is
+    unique, so this is `echelon` with each row scaled by its pivot entry.
+    """
+    rows = _pivot_rows(vectors)
+    for row in rows.values():
+        # back-substitution can leave a common factor in a row
+        _divide_content(row)
+    return {p: rows[p] for p in sorted(rows)}
+
+
+def residue(vector: dict, rows: dict) -> dict:
+    """A sparse vector reduced against the rows of `integer_echelon`,
+    scaled to integers: empty exactly when the vector lies in their span.
+    No row holds another pivot key, so one pass clears every pivot."""
+    work = _integer_row(vector)
+    for key in work.keys() & rows.keys():
+        _clear(work, key, rows[key])
+    return work
+
+
 def echelon(vectors) -> dict:
     """Reduced row echelon form of the span of sparse vectors.
 
@@ -131,29 +158,6 @@ def echelon(vectors) -> dict:
 def sparse_rank(vectors) -> int:
     """Dimension of the span of sparse vectors: len(echelon(vectors))."""
     return len(_pivot_rows(vectors))
-
-
-def rref(rows):
-    """Reduced row echelon form of dense rows.
-
-    Returns (reduced, pivots): the nonzero rows of the reduced matrix
-    as Fraction lists and the pivot column of each, in column order.
-    Input rows are not modified.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    assert all(len(row) == ncols for row in rows)
-    basis = echelon(map(_sparse, rows))
-    pivots = sorted(basis)
-    reduced = []
-    for p in pivots:
-        row = [F0] * ncols
-        row[p] = F1
-        for k, c in basis[p].items():
-            row[k] = c
-        reduced.append(row)
-    return reduced, pivots
 
 
 def rank(rows) -> int:

@@ -9,20 +9,23 @@ opposite quiver carries the barred arrows of the dual presentation
 Each arrow maps to a degree-one diagram: an ascending arrow from lam to
 mu becomes (lam | mu | mu), a descending one from mu to lam becomes
 (mu | mu | lam); the line weight is the higher of the two.  Extending
-multiplicatively gives the evaluation of paths used to compute the
-quadratic relation spaces as exact kernels, block by block.
+multiplicatively gives the evaluation of paths; a block's relation
+space is the kernel of that evaluation.
 
 The kernel is certified against an independently constructed generating
 set: monomial relations (the unique length-two path composed of two
 same-direction exchanges sharing an endpoint), commutativity relations
 (all parallel length-two paths between distinct vertices are equal), and
 vertex relations (each down-up two-cycle equals the signed sum of up-down
-two-cycles weighted by the enclosure coefficients).
+two-cycles weighted by the enclosure coefficients).  The generators are
+put in reduced echelon form on integers; they span the kernel exactly
+when the evaluation kills each of them and their number is the
+dimension of the kernel, the number of paths less the rank of the
+evaluation.  No kernel basis is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -171,21 +174,18 @@ def rho_of_path(arrows) -> dict[ArcDiagram, int]:
     return result
 
 
-def paths_of_length_two(quiver: Quiver, source: str, target: str):
-    out = []
-    for a in quiver.out[source]:
-        for b in quiver.out[a.target]:
-            if b.target == target:
-                out.append((a, b))
-    out.sort(key=lambda p: (p[0].name, p[1].name))
-    return tuple(out)
-
-
 class RelationBlock(NamedTuple):
+    """The relations of one block, over its length-two paths.
+
+    `rows` is the reduced echelon basis of the relation space as
+    primitive integer vectors over `paths`, in pivot order: each row is
+    positive at its pivot (its first nonzero entry) and zero at every
+    other pivot."""
+
     source: str
     target: str
     paths: tuple[tuple[Arrow, Arrow], ...]
-    rows: tuple[tuple[Fraction, ...], ...]  # echelon basis over the paths
+    rows: tuple[tuple[int, ...], ...]
 
 
 class RelationSet(
@@ -220,14 +220,14 @@ def _monomial_shape(path) -> bool:
     return len(set(first) & set(second)) == 1
 
 
-def _kernel_rows(paths):
-    """Exact kernel of path evaluation on a block, over the given path
-    coordinates."""
+def _evaluation_rows(paths) -> list[dict]:
+    """The evaluation of a block as sparse rows, one per diagram, over
+    the given path coordinates."""
     rows: dict = {}
     for col, p in enumerate(paths):
         for d, coeff in rho_of_path(p).items():
             rows.setdefault(d, {})[col] = coeff
-    return linalg.nullspace(rows.values(), len(paths))
+    return list(rows.values())
 
 
 def _structural_rows(quiver: Quiver, source: str, target: str, paths):
@@ -268,11 +268,10 @@ def _structural_rows(quiver: Quiver, source: str, target: str, paths):
     return rows
 
 
-def _length_two_blocks(quiver: Quiver):
+def length_two_blocks(quiver: Quiver):
     """Every nonempty (source, target, paths) of length-two paths, read
     off in one sweep over the arrows: sources and targets in vertex
-    order, each block's paths ordered as `paths_of_length_two` orders
-    them."""
+    order, each block's paths as arrow pairs ordered by their names."""
     order = {v: i for i, v in enumerate(quiver.vertices)}
     for s in quiver.vertices:
         by_target: dict[str, list] = {}
@@ -288,27 +287,34 @@ def _length_two_blocks(quiver: Quiver):
 @lru_cache(maxsize=None)
 def relations_K(m: int, n: int) -> RelationSet:
     """Quadratic relation spaces of the plain presentation, block by
-    block, certified against the structural generating set."""
+    block: the structural generators in reduced integer form, certified
+    to span the kernel of the evaluation."""
     quiver = build_quiver(m, n, dual=False)
     blocks = []
-    for s, t, paths in _length_two_blocks(quiver):
-        kernel = _kernel_rows(paths)
-        structural = _structural_rows(quiver, s, t, paths)
-        reduced, pivots = linalg.rref(kernel)
-        structural_rref = linalg.rref(structural)
-        if (reduced, pivots) != structural_rref:
+    for s, t, paths in length_two_blocks(quiver):
+        evaluation = _evaluation_rows(paths)
+        structural = linalg.integer_echelon(
+            {j: c for j, c in enumerate(row) if c}
+            for row in _structural_rows(quiver, s, t, paths)
+        )
+        kernel_dim = len(paths) - linalg.sparse_rank(evaluation)
+        if (
+            len(structural) != kernel_dim
+            or linalg.first_nonzero_product(evaluation, structural.values()) is not None
+        ):
             raise CertificationError(
                 f"relation block ({s}, {t}): structural generators do not "
                 f"span the evaluation kernel",
                 witness={
                     "block": (s, t),
-                    "kernel_dim": len(reduced),
-                    "structural_dim": len(structural_rref[0]),
+                    "kernel_dim": kernel_dim,
+                    "structural_dim": len(structural),
                 },
             )
-        blocks.append(
-            RelationBlock(s, t, paths, tuple(tuple(r) for r in reduced))
+        rows = tuple(
+            tuple(row.get(j, 0) for j in range(len(paths))) for row in structural.values()
         )
+        blocks.append(RelationBlock(s, t, paths, rows))
     return RelationSet(False, tuple(blocks))
 
 
@@ -364,7 +370,7 @@ def relations_json(relations: RelationSet) -> list[dict]:
                 "source": b.source,
                 "target": b.target,
                 "paths": [[a.name for a in p] for p in b.paths],
-                "rows": [linalg.primitive_integer_vector(r) for r in b.rows],
+                "rows": [list(r) for r in b.rows],
             }
         )
     return out

@@ -8,12 +8,19 @@ states, and the rewriting engine over arrow-name tuples, are the
 library's earlier kernels kept verbatim as oracles for the integer
 kernels that replaced them; `branches` reads an integer overlap
 resolution as the `Branch`es of the reference one.  The two-walk
-`reference_classify_gluing` is kept the same way.
+`reference_classify_gluing` is kept the same way.  So are the
+`Fraction` routes of the certificates between surgery and rewriting:
+the K relations as the `nullspace` of the evaluation put in `rref`, the
+dual relations as the `nullspace` of the permuted plain rows, the
+length-two rules by `rref` elimination, staircase membership on
+`echelon` tails, and the KL certificate as a convolution loop over
+every vertex pair.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 from typing import NamedTuple
 
 from arcdual import combinatorics as comb
@@ -27,7 +34,9 @@ from arcdual.combinatorics import (
     is_nested,
     weight_type,
 )
-from arcdual.errors import FuelError
+from arcdual import linalg
+from arcdual import presentation as P
+from arcdual.errors import CertificationError, FuelError
 from arcdual.linalg import add_term
 from arcdual.rewrite import (
     DEFAULT_FUEL,
@@ -40,6 +49,8 @@ from arcdual.rewrite import (
     as_lincomb,
     enumerate_overlaps,
     is_irreducible,
+    make_path,
+    make_rule,
     path_key,
     scale_into,
 )
@@ -522,3 +533,204 @@ def reference_diamond_failures(system, fuel: int = DEFAULT_FUEL) -> tuple:
         diamond_failure(o, *resolve_overlap(o, system, fuel)) for o in enumerate_overlaps(system)
     )
     return tuple(f for f in found if f is not None)
+
+
+# ---------------------------------------------------------------------------
+# The certificates between surgery and rewriting in Fraction arithmetic.
+
+
+def rref(rows):
+    """Reduced row echelon form of dense rows.
+
+    Returns (reduced, pivots): the nonzero rows of the reduced matrix
+    as Fraction lists and the pivot column of each, in column order.
+    Input rows are not modified.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    assert all(len(row) == ncols for row in rows)
+    basis = linalg.echelon({j: x for j, x in enumerate(row) if x} for row in rows)
+    pivots = sorted(basis)
+    reduced = []
+    for p in pivots:
+        row = [Fraction(0)] * ncols
+        row[p] = Fraction(1)
+        for k, c in basis[p].items():
+            row[k] = c
+        reduced.append(row)
+    return reduced, pivots
+
+
+def paths_of_length_two(quiver: P.Quiver, source: str, target: str):
+    """The length-two paths from source to target, ordered by their arrow
+    names: one block of `presentation.length_two_blocks`, found pair by
+    pair."""
+    out = []
+    for a in quiver.out[source]:
+        for b in quiver.out[a.target]:
+            if b.target == target:
+                out.append((a, b))
+    out.sort(key=lambda p: (p[0].name, p[1].name))
+    return tuple(out)
+
+
+def reference_relations_K(m: int, n: int) -> P.RelationSet:
+    """`presentation.relations_K` with each block's kernel taken by
+    `nullspace` and compared in `rref` with the structural rows: rows of
+    Fractions, 1 at each pivot."""
+    quiver = P.build_quiver(m, n, dual=False)
+    blocks = []
+    for s, t, paths in P.length_two_blocks(quiver):
+        evaluation: dict = {}
+        for col, p in enumerate(paths):
+            for d, coeff in P.rho_of_path(p).items():
+                evaluation.setdefault(d, {})[col] = coeff
+        kernel = linalg.nullspace(evaluation.values(), len(paths))
+        structural = P._structural_rows(quiver, s, t, paths)
+        reduced, pivots = rref(kernel)
+        if (reduced, pivots) != rref(structural):
+            raise CertificationError("structural generators do not span the evaluation kernel")
+        blocks.append(P.RelationBlock(s, t, paths, tuple(map(tuple, reduced))))
+    return P.RelationSet(False, tuple(blocks))
+
+
+def reference_orthogonal_relations(relations: P.RelationSet) -> P.RelationSet:
+    """`koszul.orthogonal_relations` as the `nullspace` of the plain rows
+    permuted into the dual coordinates of `paths_of_length_two`, put in
+    `rref`."""
+    if not relations.blocks:
+        return P.RelationSet(True, ())
+    m, n = weight_type(relations.blocks[0].source)
+    qbar = P.build_quiver(m, n, dual=True)
+    out = []
+    for b in relations.blocks:
+        dual_paths = paths_of_length_two(qbar, b.target, b.source)
+        col = {p: i for i, p in enumerate(dual_paths)}
+        perm = [col[(P.dual_arrow(b2), P.dual_arrow(b1))] for b1, b2 in b.paths]
+        permuted = [{j: c for c, j in zip(row, perm) if c} for row in b.rows]
+        reduced, _ = rref(linalg.nullspace(permuted, len(dual_paths)))
+        assert len(reduced) + len(b.rows) == len(dual_paths)
+        assert linalg.first_nonzero_product(permuted, [dict(enumerate(r)) for r in reduced]) is None
+        out.append(P.RelationBlock(b.target, b.source, dual_paths, tuple(map(tuple, reduced))))
+    out.sort(key=lambda b: (comb.sort_key(b.source), comb.sort_key(b.target)))
+    return P.RelationSet(True, tuple(out))
+
+
+def reference_length_two_rules(m: int, n: int) -> list[Rule]:
+    """The length-two rules of `koszul.reduction_system`, each block of
+    the reference dual relations reordered with its designated paths
+    first and put in `rref`, in the order the system lists them."""
+    from arcdual import koszul
+
+    qbar = P.build_quiver(m, n, dual=True)
+    relations = reference_orthogonal_relations(reference_relations_K(m, n))
+    groups: dict = {}
+    for s in koszul.build_S(m, n):
+        groups.setdefault((s.path.start, s.path.end), []).append(s)
+    rules = []
+    for key, group in sorted(groups.items()):
+        block = relations.block(*key)
+        pobjs = [make_path(qbar, [a, b]) for a, b in block.paths]
+        des = {s.path.arrows for s in group}
+        des_idx = sorted(
+            (i for i, p in enumerate(pobjs) if p.arrows in des), key=lambda i: path_key(pobjs[i])
+        )
+        free_idx = sorted(
+            (i for i, p in enumerate(pobjs) if p.arrows not in des),
+            key=lambda i: path_key(pobjs[i]),
+        )
+        order = des_idx + free_idx
+        reduced, pivots = rref([[row[j] for j in order] for row in block.rows])
+        assert pivots == list(range(len(des_idx)))
+        phis = {}
+        for r, row in enumerate(reduced):
+            phi: LinComb = {}
+            for c in range(len(des_idx), len(order)):
+                if row[c]:
+                    add_term(phi, pobjs[order[c]], -row[c])
+            phis[pobjs[des_idx[r]].arrows] = phi
+        rules += [make_rule(s.path, phis[s.path.arrows], tag=s.tag) for s in group]
+    return sorted(rules, key=lambda r: path_key(r.lhs))
+
+
+def reference_staircase_members(m: int, n: int) -> int:
+    """Every staircase rule's lhs - sign * alternate reduced to zero on
+    the `echelon` tails of the padded quadratic ideal, its prefixes and
+    suffixes built as `Path`s; returns the number of rules checked."""
+    from arcdual import koszul
+
+    qbar = P.build_quiver(m, n, dual=True)
+    relations = reference_orthogonal_relations(reference_relations_K(m, n))
+
+    def paths_from(source, length):
+        out = [Path(source, (), source)]
+        for _ in range(length):
+            out = [
+                Path(source, p.arrows + (a.name,), a.target) for p in out for a in qbar.out[p.end]
+            ]
+        return out
+
+    checked = 0
+    for vs in koszul._cubic_sequences(m, n):
+        alt, sign = koszul._cubic_alternate(vs)
+        for build in (koszul._ybar_path, koszul._xbar_path):
+            lhs, rhs = build(qbar, vs), build(qbar, alt)
+            rows = []
+            for cut in range(len(lhs) - 1):
+                for prefix in paths_from(lhs.start, cut):
+                    for block in relations.blocks:
+                        if block.source != prefix.end:
+                            continue
+                        for suffix in paths_from(block.target, len(lhs) - cut - 2):
+                            if suffix.end == lhs.end:
+                                rows += [
+                                    {prefix.arrows + (a.name, b.name) + suffix.arrows: c
+                                     for c, (a, b) in zip(row, block.paths) if c}
+                                    for row in block.rows
+                                ]
+            basis = linalg.echelon(rows)
+            residue = {lhs.arrows: Fraction(1), rhs.arrows: Fraction(-sign)}
+            for key in [k for k in residue if k in basis]:
+                c = residue.pop(key)
+                for k, x in basis[key].items():
+                    residue[k] = residue.get(k, 0) - c * x
+            assert not any(residue.values()), lhs
+            checked += 1
+    return checked
+
+
+def reference_graded_dimensions(m: int, n: int):
+    """`koszul.certify_graded_dimensions` as a convolution loop over the
+    KL columns of every vertex pair, coefficient by coefficient."""
+    from arcdual import koszul
+
+    basis = koszul.irreducible_basis(m, n)
+    weights = comb.enumerate_weights(m, n)
+    top = 2 * m * n
+    columns = {
+        lam: {kappa: koszul.kl_poly(kappa, lam).coefficients for kappa in weights}
+        for lam in weights
+    }
+    mismatches, buckets = [], 0
+    for lam in weights:
+        counts = basis.source_counts(lam)
+        for mu in weights:
+            expected = [0] * (top + 1)
+            for kappa, left in columns[lam].items():
+                right = columns[mu][kappa]
+                if not (left and right):
+                    continue
+                reach = len(left) + len(right) - 1
+                expected.extend([0] * (reach - len(expected)))
+                for a, ca in enumerate(left):
+                    for b, cb in enumerate(right, a):
+                        expected[b] += ca * cb
+            buckets += top + 1 + sum(1 for want in expected[top + 1 :] if want)
+            for i, want in enumerate(expected):
+                got = counts.get((mu, i), 0)
+                if got != want:
+                    mismatches.append((lam, mu, i, got, want))
+    return koszul.GradedDimensionReport(
+        not mismatches, len(weights) ** 2, buckets, tuple(mismatches)
+    )

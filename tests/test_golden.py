@@ -12,7 +12,10 @@ quote.
 `relations 3 3`, `relations 4 3` and `diamond 3 4` (526 overlaps) pin
 the K relation rows and the diamond check at the benchmark's sizes.
 `verify 3 3` and `verify 3 4` pin the basis dimension and the graded
-count certificate above (2, 4).
+count certificate above (2, 4).  `reduction-system 4 3`,
+`reduction-system 3 4`, `kl 4 3` and `relations 3 4` pin the dual
+rules, the KL table and the K relation rows at the sizes that the
+benchmark's `verify` ops certify.
 
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
@@ -72,6 +75,10 @@ COMMANDS = [
     ("diamond", "3", "4"),
     ("verify", "3", "3"),
     ("verify", "3", "4"),
+    ("reduction-system", "4", "3"),
+    ("reduction-system", "3", "4"),
+    ("kl", "4", "3"),
+    ("relations", "3", "4"),
 ]
 
 

@@ -7,7 +7,10 @@ over node tuples, frozenset states and arrow-name tuples, kept
 verbatim; every result here must agree with them exactly, including
 the order of rule applications that `koszul.dual_resolution` records.
 The integer resolution is compared through `reference.branches`, which
-builds its `Path`s.
+builds its `Path`s.  The certificates between surgery and rewriting
+(the K relations, the dual relations, the length-two rules, staircase
+membership and the KL counts) run on integers; the `Fraction` routes
+they replaced are the oracles here.
 """
 
 import pytest
@@ -16,6 +19,7 @@ import reference as ref
 from arcdual import arc_algebra as alg
 from arcdual import hochschild as hh
 from arcdual import koszul
+from arcdual import linalg
 from arcdual import presentation as P
 from arcdual import rewrite as rw
 from arcdual.combinatorics import cup_matching
@@ -169,3 +173,42 @@ def test_fuel_witness_matches_reference():
     with pytest.raises(rw.FuelError) as old:
         ref.reference_normal_form(word, system, fuel=1)
     assert new.value.witness == old.value.witness
+
+
+CERTIFIED_SIZES = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 4)]
+
+
+def _same_rows(got, want):
+    """Relation sets with the same blocks, paths and reduced rows: each
+    integer row is the primitive form of the reference Fraction row, so
+    the two row spans are equal block by block."""
+    assert [(b.source, b.target, b.paths) for b in got.blocks] == [
+        (b.source, b.target, b.paths) for b in want.blocks
+    ]
+    for b, r in zip(got.blocks, want.blocks):
+        assert all(type(c) is int for row in b.rows for c in row), (b.source, b.target)
+        assert [list(row) for row in b.rows] == [
+            linalg.primitive_integer_vector(row) for row in r.rows
+        ], (b.source, b.target)
+
+
+@pytest.mark.parametrize("m, n", CERTIFIED_SIZES)
+def test_relations_match_the_fraction_route(m, n):
+    plain = ref.reference_relations_K(m, n)
+    _same_rows(P.relations_K(m, n), plain)
+    _same_rows(koszul.dual_relations(m, n), ref.reference_orthogonal_relations(plain))
+
+
+@pytest.mark.parametrize("m, n", CERTIFIED_SIZES)
+def test_rules_match_the_fraction_route(m, n):
+    system = koszul.reduction_system(m, n)
+    short = [r for r in system.rules if len(r.lhs) == 2]
+    assert short == ref.reference_length_two_rules(m, n)
+    assert ref.reference_staircase_members(m, n) == len(system.rules) - len(short)
+
+
+@pytest.mark.parametrize("m, n", CERTIFIED_SIZES)
+def test_graded_report_matches_the_convolution_loop(m, n):
+    report = koszul.certify_graded_dimensions(m, n)
+    assert report.ok
+    assert report == ref.reference_graded_dimensions(m, n)

@@ -13,7 +13,7 @@ from arcdual import combinatorics as comb
 from arcdual import koszul as K
 from arcdual import rewrite as rw
 from arcdual.errors import CertificationError
-from arcdual.presentation import build_quiver, paths_of_length_two, relations_K
+from arcdual.presentation import build_quiver, relations_K
 from arcdual.rewrite import (
     ReductionSystem,
     irreducible_paths_from,
@@ -22,7 +22,7 @@ from arcdual.rewrite import (
     normal_form,
     path_key,
 )
-from reference import ascending_irr_count, basis_counts, highest_weight
+from reference import ascending_irr_count, basis_counts, highest_weight, paths_of_length_two
 from test_rewrite import A, RULES_22
 
 
@@ -202,6 +202,26 @@ def test_staircase_rule_with_wrong_sign_is_rejected(monkeypatch, m, n):
     monkeypatch.setattr(K, "_cubic_alternate", flipped)
     with pytest.raises(CertificationError, match="not congruent to its alternate"):
         K.reduction_system.__wrapped__(m, n)
+
+
+def test_designated_path_off_the_pivots_is_rejected(monkeypatch):
+    # the one dual relation of the (v^^v, v^^v) block is the peak path
+    # alone; designating the down-up path instead puts a zero column
+    # first, so the pivot falls on the path left free
+    peak = make_path(build_quiver(2, 2, dual=True), ["ybar:v^^v->^v^v", "xbar:^v^v->v^^v"])
+    valley = make_path(build_quiver(2, 2, dual=True), ["xbar:v^^v->v^v^", "ybar:v^v^->v^^v"])
+    original = K.build_S(2, 2)
+    assert K.dual_relations(2, 2).block("v^^v", "v^^v").rows == ((0, 1),)
+    swapped = tuple(s._replace(path=valley) if s.path == peak else s for s in original)
+    assert swapped != original
+    monkeypatch.setattr(K, "build_S", lambda m, n: swapped)
+    with pytest.raises(CertificationError, match="designated paths are not the pivots") as exc:
+        K.reduction_system.__wrapped__(2, 2)
+    assert exc.value.witness == {
+        "block": ("v^^v", "v^^v"),
+        "designated": [repr(valley)],
+        "pivots": [repr(peak)],
+    }
 
 
 def test_cubic_rule_for_two_rows_of_three(sample_types=None):
@@ -562,6 +582,54 @@ def test_certificates_report_a_missing_basis_path(monkeypatch):
     graded = K.certify_graded_dimensions(2, 2)
     assert not graded.ok
     assert graded.mismatches == ((start, end, length, want - 1, want),)
+
+
+def _kl_lane_width(m, n):
+    """The bit length of max_lam sum_kappa P_kappa,lam(1)^2, which bounds
+    every expected count."""
+    weights = comb.enumerate_weights(m, n)
+    return max(
+        sum(K.kl_poly(kappa, lam).at_one() ** 2 for kappa in weights) for lam in weights
+    ).bit_length()
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("shift,borrow", [(64, False), (64, True), ("kl", True)])
+def test_graded_certificate_reports_a_count_wider_than_a_lane(monkeypatch, m, n, shift, borrow):
+    # a count raised by 2**shift is wider than the lanes the KL side
+    # needs; it must come back whole, with no carry into the next degree
+    # of the same block.  With `borrow` the raised count is one degree
+    # below (paths of one block all have one parity, so its true count
+    # is 0) and one path is taken from the degree above: a lane of
+    # exactly `shift` bits, 64 or the width the KL bound alone gives,
+    # could not tell the two from the truth
+    shift = _kl_lane_width(m, n) if shift == "kl" else shift
+    full = K.irreducible_basis(m, n)
+    counts = basis_counts(m, n)
+    key = max(counts, key=lambda k: (counts[k], k))
+    start, end, length = key
+    want = counts[key]
+    assert length >= 1 and (start, end, length - 1) not in counts
+    raised = length - 1 if borrow else length
+
+    class Wide(K.IrreducibleBasis):
+        def source_counts(self, source):
+            found = super().source_counts(source)
+            if source == start:
+                found[end, raised] = found.get((end, raised), 0) + (1 << shift)
+                found[end, length] -= borrow
+            return found
+
+    wide = Wide(full.system, 2 * m * n + 1)
+    monkeypatch.setattr(K, "irreducible_basis", lambda m, n: wide)
+    graded = K.certify_graded_dimensions(m, n)
+    assert not graded.ok
+    if borrow:
+        expected = ((start, end, raised, 1 << shift, 0), (start, end, length, want - 1, want))
+    else:
+        expected = ((start, end, length, want + (1 << shift), want),)
+    assert graded.mismatches == expected
+    assert graded.buckets_checked == len(comb.enumerate_weights(m, n)) ** 2 * (2 * m * n + 1)
 
 
 def test_graded_certificate_reports_a_perturbed_kl_coefficient(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from arcdual import arc_algebra as alg
 from arcdual import combinatorics as comb
 from arcdual import presentation as P
+from reference import paths_of_length_two
 
 SMALL_TYPES = [(1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3)]
 
@@ -152,6 +153,32 @@ def test_relations_certified_against_kernel(m, n):
     assert rel.total_dimension() >= 0
 
 
+@pytest.mark.parametrize(
+    "m,n,kappa,lam,mu",
+    [
+        (2, 2, "vv^^", "v^v^", "^vv^"),
+        (3, 2, "vvv^^", "vv^v^", "v^vv^"),
+        (2, 3, "vv^^^", "v^v^^", "^vv^^"),
+    ],
+)
+def test_perturbed_vertex_relation_is_rejected(monkeypatch, m, n, kappa, lam, mu):
+    # one enclosure coefficient off by one moves the vertex relation at
+    # lam out of the evaluation kernel; every earlier block still passes
+    from arcdual.errors import CertificationError
+
+    original = P.c_coefficient
+    assert original(kappa, lam, mu) == 1
+
+    def perturbed(k, l, u):
+        return original(k, l, u) + ((k, l, u) == (kappa, lam, mu))
+
+    monkeypatch.setattr(P, "c_coefficient", perturbed)
+    with pytest.raises(CertificationError, match="structural generators do not span") as exc:
+        P.relations_K.__wrapped__(m, n)
+    assert str(exc.value).startswith(f"relation block ({lam}, {lam}):")
+    assert exc.value.witness == {"block": (lam, lam), "kernel_dim": 1, "structural_dim": 1}
+
+
 @pytest.mark.parametrize("m,n", SMALL_TYPES)
 def test_presented_algebra_matches_diagrams(m, n):
     report = P.verify_rho(m, n)
@@ -180,7 +207,7 @@ def test_block_lookup_agrees_with_a_scan():
             scan = [b for b in rel.blocks if (b.source, b.target) == (s, t)]
             assert len(scan) <= 1
             assert rel.block(s, t) is (scan[0] if scan else None)
-            assert (rel.block(s, t) is None) == (not P.paths_of_length_two(quiver, s, t))
+            assert (rel.block(s, t) is None) == (not paths_of_length_two(quiver, s, t))
             missing += not scan
     assert 0 < missing < len(quiver.vertices) ** 2
 
@@ -188,13 +215,13 @@ def test_block_lookup_agrees_with_a_scan():
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 3)])
 def test_blocks_match_the_pairwise_path_sweep(m, n):
     # relations_K groups the length-two paths in one sweep; its blocks
-    # keep the order and paths of a paths_of_length_two call per pair
+    # keep the order and paths of the reference found pair by pair
     quiver = P.build_quiver(m, n)
     want = [
-        (s, t, P.paths_of_length_two(quiver, s, t))
+        (s, t, paths_of_length_two(quiver, s, t))
         for s in quiver.vertices
         for t in quiver.vertices
-        if P.paths_of_length_two(quiver, s, t)
+        if paths_of_length_two(quiver, s, t)
     ]
     got = [(b.source, b.target, b.paths) for b in P.relations_K(m, n).blocks]
     assert got == want
@@ -205,7 +232,7 @@ def test_zero_paths_two_two():
     zero_blocks = []
     for s in q.vertices:
         for t in q.vertices:
-            for p in P.paths_of_length_two(q, s, t):
+            for p in paths_of_length_two(q, s, t):
                 if not P.rho_of_path(p):
                     zero_blocks.append((s, t))
     assert sorted(zero_blocks) == sorted(
@@ -252,7 +279,7 @@ def test_parallel_path_counts(m, n):
         for t in q.vertices:
             if s == t:
                 continue
-            k = len(P.paths_of_length_two(q, s, t))
+            k = len(paths_of_length_two(q, s, t))
             assert k <= 3
             if k == 3:
                 three.add((s, t))
@@ -265,7 +292,7 @@ def test_parallel_paths_agree_in_the_algebra():
         for t in q.vertices:
             if s == t:
                 continue
-            paths = P.paths_of_length_two(q, s, t)
+            paths = paths_of_length_two(q, s, t)
             if len(paths) >= 2:
                 images = [P.rho_of_path(p) for p in paths]
                 assert all(img == images[0] for img in images[1:])
