@@ -178,7 +178,10 @@ def _load_deformation(path_name: str, quiver):
         for term in entry.get("rhs_t", ()):
             p = rw.make_path(quiver, list(term["path"]))
             rw.add_term(lc, p, Fraction(term["coeff"]))
-        assignment[tuple(entry["lhs"])] = lc
+        lhs = tuple(entry["lhs"])
+        if lhs in assignment:
+            raise ValueError(f"repeated left-hand side {' '.join(map(str, lhs))}")
+        assignment[lhs] = lc
     return assignment
 
 

@@ -22,6 +22,7 @@ ARCDUAL_BAR_CAPACITY guards it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -328,9 +329,11 @@ def hh2_certificate(m: int, n: int, q: int) -> HH2Certificate:
     basis = basis2
     normal = None
     if constraint_rank == 0 and n2 and image_rank == n2 - 1:
-        null = linalg.nullspace(cob.vectors, n2)
-        if len(null) == 1:
-            normal = tuple(linalg.primitive_integer_vector(null[0]))
+        (vec,) = linalg.nullspace(cob.vectors, n2)
+        # primitive already; its first nonzero entry is made positive in
+        # the cochain basis, before any reordering
+        sign = -1 if next(iter(vec.values())) < 0 else 1
+        normal = tuple(sign * vec.get(j, 0) for j in range(n2))
     if m >= 2 and n >= 2 and q == critical_degree(m, n):
         alphas = alpha_basis(m, n)
         if len(alphas) != n2 or set(alphas) != set(basis2):
@@ -417,11 +420,15 @@ def extract_cocycle(m: int, n: int, q: int) -> dict:
         )
         candidates.append({cob.rows.index(Cochain2(lhs, detour)): 1})
     for vec in linalg.nullspace(cons.vectors, len(cob.rows)):
-        candidates.append({j: x for j, x in enumerate(vec) if x})
+        # scaled to 1 at its free column, the last key; the key order
+        # is the term order of the cocycle
+        lead = vec[max(vec)]
+        candidates.append({j: linalg.exact(Fraction(c, lead)) for j, c in vec.items()})
 
+    image = linalg.integer_echelon(cob.vectors)
     for vec in candidates:
         in_kernel = linalg.first_nonzero_product(cons.vectors, [vec]) is None
-        if in_kernel and linalg.sparse_rank([*cob.vectors, vec]) > cert.image_rank:
+        if in_kernel and linalg.residue(vec, image):
             return _cochain_dict(cob.rows, vec)
     raise CertificationError(
         "no certified cocycle outside the coboundary image",

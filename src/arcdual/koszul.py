@@ -6,7 +6,8 @@ Its relation space is computed block by block as the exact orthogonal
 complement of the plain relations under the pairing that matches a
 length-two path with its reversed dual path.  Both relation spaces are
 held as reduced echelon rows of primitive integers, so the complement
-is read off the plain rows without elimination.
+is `linalg.nullspace` of the plain rows, the one kernel basis, which
+finds nothing there to eliminate.
 
 On top of the dual relations sits a reduction system.  Left-hand sides
 are the peak words (up-down through a common top), the reducible
@@ -52,7 +53,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from typing import NamedTuple
 
 from . import combinatorics as comb
@@ -99,33 +99,15 @@ from .rewrite import (
 # dual quadratic relations
 
 
-def _complement(rows, ncols: int) -> list[dict]:
-    """A basis of the vectors orthogonal to reduced integer rows, read
-    off without elimination: one primitive integer vector per free
-    column, nonzero there and at the pivots of the rows that hold it."""
-    pivots = {next(j for j, c in enumerate(row) if c): row for row in rows}
-    out = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        hits = [(p, row) for p, row in pivots.items() if row[free]]
-        scale = lcm(*(row[p] for p, row in hits))
-        vec = {free: scale}
-        for p, row in hits:
-            vec[p] = -row[free] * (scale // row[p])
-        g = gcd(*vec.values())
-        out.append({k: c // g for k, c in vec.items()})
-    return out
-
-
 def orthogonal_relations(relations: RelationSet) -> RelationSet:
     """Blockwise orthogonal complement on the opposite quiver.
 
     A length-two path (a, b) pairs with the reversed dual path
     (dual(b), dual(a)); the complement is taken with respect to the
     dot product in these matched coordinates.  The plain rows are in
-    reduced echelon form, so the complement is read off them and put in
-    the same form once, in dual coordinates.  Certifies exact
+    reduced echelon form, so `linalg.nullspace` reads the complement off
+    them with nothing to eliminate, and it is put in the same form once,
+    in dual coordinates.  Certifies exact
     orthogonality and that block dimensions are complementary.  With no
     blocks (m = 0 or n = 0: no arrows) the complement is empty too.
     """
@@ -146,8 +128,9 @@ def orthogonal_relations(relations: RelationSet) -> RelationSet:
             )
         col = {p: i for i, p in enumerate(dual_paths)}
         perm = [col[(dual_arrow(b2), dual_arrow(b1))] for (b1, b2) in b.paths]
+        plain = [{j: c for j, c in enumerate(row) if c} for row in b.rows]
         reduced = linalg.integer_echelon(
-            {perm[j]: c for j, c in vec.items()} for vec in _complement(b.rows, len(b.paths))
+            {perm[j]: c for j, c in vec.items()} for vec in linalg.nullspace(plain, len(b.paths))
         )
         if len(reduced) + len(b.rows) != len(dual_paths):
             raise CertificationError(

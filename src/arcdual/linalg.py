@@ -9,12 +9,12 @@ pivots then lie below every earlier one and need no back-substitution.
 Elimination is fraction-free: vectors are scaled to integers once and
 every row stays an integer vector.  `integer_echelon` returns the rows
 as primitive integer vectors and `residue` reduces one more vector
-against them, so a certificate that only needs a span, a rank or a
-membership never builds a `Fraction`.  `echelon` divides each row by
-its pivot into `Fraction` tails, which only `nullspace` reads: it
-returns dense kernel vectors.  `rank` and `sparse_rank` count the pivot
-rows, and `first_nonzero_product` checks that a product of sparse
-vectors vanishes.
+against them, so a certificate that needs a span, a rank or a
+membership never builds a `Fraction`.  `nullspace`, the one kernel
+basis, reads those rows too: one sparse primitive integer vector per
+free column.  `rank` and `sparse_rank` count the pivot rows, and
+`first_nonzero_product` checks that a product of sparse vectors
+vanishes.
 
 Coefficients above this kernel are exact rationals held as `int`s
 wherever they are integral, and as `Fraction`s only where a denominator
@@ -25,9 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def exact(c) -> int | Fraction:
@@ -122,7 +119,7 @@ def integer_echelon(vectors) -> dict:
     Returns {pivot key: row} in key order; each row is a primitive
     integer vector, positive at its pivot key, zero at every other
     pivot key and with no key below its pivot.  The reduced form is
-    unique, so this is `echelon` with each row scaled by its pivot entry.
+    unique, so the rows depend on the span of the vectors only.
     """
     rows = _pivot_rows(vectors)
     for row in rows.values():
@@ -141,22 +138,8 @@ def residue(vector: dict, rows: dict) -> dict:
     return work
 
 
-def echelon(vectors) -> dict:
-    """Reduced row echelon form of the span of sparse vectors.
-
-    Returns {pivot key: tail} in key order: the reduced row with that
-    pivot is 1 at the pivot key plus the tail of Fractions.  Every tail
-    key is larger than its pivot key, and no tail holds a pivot key.
-    """
-    rows = _pivot_rows(vectors)
-    return {
-        p: {k: Fraction(c, rows[p][p]) for k, c in rows[p].items() if k != p}
-        for p in sorted(rows)
-    }
-
-
 def sparse_rank(vectors) -> int:
-    """Dimension of the span of sparse vectors: len(echelon(vectors))."""
+    """Dimension of the span of sparse vectors: len(integer_echelon(vectors))."""
     return len(_pivot_rows(vectors))
 
 
@@ -164,24 +147,35 @@ def rank(rows) -> int:
     return sparse_rank(map(_sparse, rows))
 
 
-def nullspace(vectors, ncols: int):
+def nullspace(vectors, ncols: int) -> list[dict]:
     """Deterministic kernel basis of the linear map whose rows are the
     sparse vectors, keyed by column index in range(ncols).
 
-    One dense Fraction basis vector per free column, carrying 1 there;
-    vectors are ordered by their free column.
+    One sparse primitive integer vector per free column of
+    `integer_echelon`, in column order: positive at its free column and
+    nonzero elsewhere only at the pivots of the rows that hold that
+    column.  Those pivots lie below the free column, so the keys ascend
+    and the free column comes last.  Divided by its free entry, a vector
+    is the kernel vector that is 1 there and 0 at every other free column.
     """
-    basis = echelon(vectors)
-    assert all(0 <= k < ncols for p, tail in basis.items() for k in (p, *tail))
-    kernel = {}
+    rows = integer_echelon(vectors)
+    assert all(0 <= k < ncols for row in rows.values() for k in row)
+    holders: dict = {}
+    for p, row in rows.items():
+        for k in row:
+            if k != p:
+                holders.setdefault(k, []).append(p)
+    kernel = []
     for free in range(ncols):
-        if free not in basis:
-            kernel[free] = [F0] * ncols
-            kernel[free][free] = F1
-    for p, tail in basis.items():
-        for free, c in tail.items():
-            kernel[free][p] = -c
-    return list(kernel.values())
+        if free in rows:
+            continue
+        hits = holders.get(free, ())
+        scale = lcm(*(rows[p][p] for p in hits))
+        vec = {p: -rows[p][free] * (scale // rows[p][p]) for p in hits}
+        vec[free] = scale
+        _divide_content(vec)
+        kernel.append(vec)
+    return kernel
 
 
 def first_nonzero_product(rows, cols):
@@ -201,11 +195,3 @@ def first_nonzero_product(rows, cols):
         if products:
             return min(products), j
     return None
-
-
-def primitive_integer_vector(vec):
-    """Scale a rational vector to coprime integers with the first nonzero
-    entry positive."""
-    row = _integer_row(dict(enumerate(vec)))
-    _divide_content(row, -1 if next(iter(row.values()), 0) < 0 else 1)
-    return [row.get(j, 0) for j in range(len(vec))]

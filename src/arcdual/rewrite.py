@@ -190,14 +190,11 @@ class ReductionSystem:
         return kernel.table[tuple([kernel.ident[name] for name in lhs_arrows])][0]
 
     def with_deformation(self, assignment) -> "ReductionSystem":
-        """Copy with rhs_t set per rule; keys are rules or lhs arrow tuples.
+        """Copy with rhs_t set per rule; keys are lhs arrow tuples.
 
         Raises ValueError naming any key that is no rule's left-hand side.
         """
-        table = {}
-        for key, value in assignment.items():
-            arrows = key.lhs.arrows if isinstance(key, Rule) else tuple(key)
-            table[arrows] = value
+        table = {tuple(key): value for key, value in assignment.items()}
         unknown = sorted(table.keys() - {r.lhs.arrows for r in self.rules}, key=repr)
         if unknown:
             raise ValueError(f"not the left-hand side of any rule: {unknown!r}")
@@ -399,17 +396,17 @@ def _reduce(work: dict, kernel: _Kernel, fuel: _Fuel, events=None) -> dict:
     return out
 
 
-def reduce_keys(system: ReductionSystem, terms: dict, fuel: int = DEFAULT_FUEL) -> dict:
+def reduce_keys(system: ReductionSystem, terms: dict) -> dict:
     """The normal form of {key: coeff}, keys as `_Kernel.key` gives
-    them, as {key: coeff}."""
-    return _reduce({key: [c, 0] for key, c in terms.items()}, system.kernel, _Fuel(fuel))
+    them, as {key: coeff}, on a budget of `DEFAULT_FUEL` steps."""
+    return _reduce({key: [c, 0] for key, c in terms.items()}, system.kernel, _Fuel(DEFAULT_FUEL))
 
 
-def normal_form(x, system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> LinComb:
+def normal_form(x, system: ReductionSystem) -> LinComb:
     """Reduce a path or combination to its normal form: `reduce_keys`
     on the keys of its paths."""
     kernel = system.kernel
-    out = reduce_keys(system, {kernel.key(p): c for p, c in as_lincomb(x).items()}, fuel)
+    out = reduce_keys(system, {kernel.key(p): c for p, c in as_lincomb(x).items()})
     return {kernel.path(key): c for key, c in out.items()}
 
 
@@ -450,15 +447,15 @@ class DiamondReport(NamedTuple):
     failures: tuple
 
 
-def _resolve(kernel: _Kernel, start: str, ids: tuple, i: int, rule: Rule, fuel: int):
+def _resolve(kernel: _Kernel, start: str, ids: tuple, i: int, rule: Rule):
     """Apply `rule` at position i of the word, then reduce both orders on
-    one fuel budget.  Returns (nf0, nf1, events): the order-zero and
+    one budget of `DEFAULT_FUEL` steps.  Returns (nf0, nf1, events): the order-zero and
     order-one normal forms as {key: coeff}, and the rule applications in
     order as `_reduce` records them, the first being `rule` at i with
     coefficient 1.  The order-one part is formed from the events'
     integer contexts.  Only the rewriting after the first application
     is leftmost, so only its terms resume their redex scan."""
-    shared = _Fuel(fuel)
+    shared = _Fuel(DEFAULT_FUEL)
     entry = kernel.table[kernel.ids(rule.lhs)]
     events = [(entry, start, ids, i, 1)]
     order_zero: dict = {}
@@ -473,7 +470,7 @@ def _resolve(kernel: _Kernel, start: str, ids: tuple, i: int, rule: Rule, fuel: 
     return nf0, _reduce(order_one, kernel, shared) if order_one else {}, events
 
 
-def resolve_overlap(overlap: Overlap, system: ReductionSystem, fuel: int = DEFAULT_FUEL):
+def resolve_overlap(overlap: Overlap, system: ReductionSystem):
     """Both one-step resolutions of the overlap word, fully reduced: the
     left rule applied at its start, the right rule at its end.  Each
     branch is what `_resolve` returns, on its own fuel budget."""
@@ -481,8 +478,8 @@ def resolve_overlap(overlap: Overlap, system: ReductionSystem, fuel: int = DEFAU
     word = overlap.word
     ids = kernel.ids(word)
     return (
-        _resolve(kernel, word.start, ids, 0, overlap.left, fuel),
-        _resolve(kernel, word.start, ids, len(ids) - len(overlap.right.lhs), overlap.right, fuel),
+        _resolve(kernel, word.start, ids, 0, overlap.left),
+        _resolve(kernel, word.start, ids, len(ids) - len(overlap.right.lhs), overlap.right),
     )
 
 
@@ -501,14 +498,14 @@ def diamond_failure(overlap: Overlap, system: ReductionSystem, left, right) -> d
     return {"word": repr(overlap.word), "difference": diffs[0], "difference_t": diffs[1]}
 
 
-def check_diamond(system: ReductionSystem, fuel: int = DEFAULT_FUEL) -> DiamondReport:
+def check_diamond(system: ReductionSystem) -> DiamondReport:
     """Resolve every overlap ambiguity two ways and compare normal forms.
 
     Rules with a deformation part are compared over the dual numbers, so
     the report also certifies a first-order deformation when present.
     """
     overlaps = enumerate_overlaps(system)
-    found = (diamond_failure(o, system, *resolve_overlap(o, system, fuel)) for o in overlaps)
+    found = (diamond_failure(o, system, *resolve_overlap(o, system)) for o in overlaps)
     failures = tuple(f for f in found if f is not None)
     return DiamondReport(not failures, len(overlaps), failures)
 

@@ -9,12 +9,14 @@ library's earlier kernels kept verbatim as oracles for the integer
 kernels that replaced them; `branches` reads an integer overlap
 resolution as the `Branch`es of the reference one.  The two-walk
 `reference_classify_gluing` is kept the same way.  So are the
-`Fraction` routes of the certificates between surgery and rewriting:
-the K relations as the `nullspace` of the evaluation put in `rref`, the
-dual relations as the `nullspace` of the permuted plain rows, the
-length-two rules by `rref` elimination, staircase membership on
-`echelon` tails, and the KL certificate as a convolution loop over
-every vertex pair.
+`Fraction` routes of the certificates between surgery and rewriting,
+on the library's former `Fraction` linear algebra (`echelon` tails of
+the integer elimination, the dense `nullspace` built from them,
+`primitive_integer_vector` and `rref`): the K relations as the
+`nullspace` of the evaluation put in `rref`, the dual relations as the
+`nullspace` of the permuted plain rows, the length-two rules by `rref`
+elimination, staircase membership on `echelon` tails, and the KL
+certificate as a convolution loop over every vertex pair.
 """
 
 from __future__ import annotations
@@ -538,6 +540,51 @@ def reference_diamond_failures(system, fuel: int = DEFAULT_FUEL) -> tuple:
 # ---------------------------------------------------------------------------
 # The certificates between surgery and rewriting in Fraction arithmetic.
 
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+def echelon(vectors) -> dict:
+    """Reduced row echelon form of the span of sparse vectors.
+
+    Returns {pivot key: tail} in key order: the reduced row with that
+    pivot is 1 at the pivot key plus the tail of Fractions.  Every tail
+    key is larger than its pivot key, and no tail holds a pivot key.
+    """
+    rows = linalg._pivot_rows(vectors)
+    return {
+        p: {k: Fraction(c, rows[p][p]) for k, c in rows[p].items() if k != p}
+        for p in sorted(rows)
+    }
+
+
+def nullspace(vectors, ncols: int):
+    """Deterministic kernel basis of the linear map whose rows are the
+    sparse vectors, keyed by column index in range(ncols).
+
+    One dense Fraction basis vector per free column, carrying 1 there;
+    vectors are ordered by their free column.
+    """
+    basis = echelon(vectors)
+    assert all(0 <= k < ncols for p, tail in basis.items() for k in (p, *tail))
+    kernel = {}
+    for free in range(ncols):
+        if free not in basis:
+            kernel[free] = [F0] * ncols
+            kernel[free][free] = F1
+    for p, tail in basis.items():
+        for free, c in tail.items():
+            kernel[free][p] = -c
+    return list(kernel.values())
+
+
+def primitive_integer_vector(vec):
+    """Scale a rational vector to coprime integers with the first nonzero
+    entry positive."""
+    row = linalg._integer_row(dict(enumerate(vec)))
+    linalg._divide_content(row, -1 if next(iter(row.values()), 0) < 0 else 1)
+    return [row.get(j, 0) for j in range(len(vec))]
+
 
 def rref(rows):
     """Reduced row echelon form of dense rows.
@@ -550,7 +597,7 @@ def rref(rows):
         return [], []
     ncols = len(rows[0])
     assert all(len(row) == ncols for row in rows)
-    basis = linalg.echelon({j: x for j, x in enumerate(row) if x} for row in rows)
+    basis = echelon({j: x for j, x in enumerate(row) if x} for row in rows)
     pivots = sorted(basis)
     reduced = []
     for p in pivots:
@@ -586,7 +633,7 @@ def reference_relations_K(m: int, n: int) -> P.RelationSet:
         for col, p in enumerate(paths):
             for d, coeff in P.rho_of_path(p).items():
                 evaluation.setdefault(d, {})[col] = coeff
-        kernel = linalg.nullspace(evaluation.values(), len(paths))
+        kernel = nullspace(evaluation.values(), len(paths))
         structural = P._structural_rows(quiver, s, t, paths)
         reduced, pivots = rref(kernel)
         if (reduced, pivots) != rref(structural):
@@ -609,7 +656,7 @@ def reference_orthogonal_relations(relations: P.RelationSet) -> P.RelationSet:
         col = {p: i for i, p in enumerate(dual_paths)}
         perm = [col[(P.dual_arrow(b2), P.dual_arrow(b1))] for b1, b2 in b.paths]
         permuted = [{j: c for c, j in zip(row, perm) if c} for row in b.rows]
-        reduced, _ = rref(linalg.nullspace(permuted, len(dual_paths)))
+        reduced, _ = rref(nullspace(permuted, len(dual_paths)))
         assert len(reduced) + len(b.rows) == len(dual_paths)
         assert linalg.first_nonzero_product(permuted, [dict(enumerate(r)) for r in reduced]) is None
         out.append(P.RelationBlock(b.target, b.source, dual_paths, tuple(map(tuple, reduced))))
@@ -689,7 +736,7 @@ def reference_staircase_members(m: int, n: int) -> int:
                                      for c, (a, b) in zip(row, block.paths) if c}
                                     for row in block.rows
                                 ]
-            basis = linalg.echelon(rows)
+            basis = echelon(rows)
             residue = {lhs.arrows: Fraction(1), rhs.arrows: Fraction(-sign)}
             for key in [k for k in residue if k in basis]:
                 c = residue.pop(key)

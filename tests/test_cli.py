@@ -466,6 +466,25 @@ def test_bad_capacity_variable_exits_3(capsys, monkeypatch, variable, argv, valu
     assert out == ""
 
 
+def test_diamond_deformed_repeated_lhs_is_usage_error(tmp_path, capsys):
+    # a second entry for one left-hand side would silently replace the
+    # first: here the non-cocycle above by a zero deformation
+    lhs = ["ybar:v^^v->^v^v", "xbar:^v^v->v^^v"]
+    entries = [
+        {"lhs": lhs, "rhs_t": [{"coeff": "1", "path": ["xbar:v^^v->v^v^", "ybar:v^v^->v^^v"]}]},
+        {"lhs": lhs, "rhs_t": []},
+    ]
+    f = tmp_path / "repeated.json"
+    f.write_text(json.dumps(entries), encoding="utf-8")
+    code, out, err = run(capsys, "diamond", "2", "2", "--deformed", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "repeated left-hand side ybar:v^^v->^v^v xbar:^v^v->v^^v" in err
+    f.write_text(json.dumps(entries[:1]), encoding="utf-8")
+    assert run(capsys, "diamond", "2", "2", "--deformed", str(f))[0] == 1
+
+
 @pytest.mark.parametrize(
     "content",
     [

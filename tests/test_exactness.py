@@ -6,6 +6,9 @@ in: a float literal, a float(...) call, true division `/`, which turns
 two ints into a float, and a json.load or json.loads call without
 `parse_float`, which reads a JSON decimal such as 0.1 as a float.
 Floor division `//` stays allowed.
+
+Exact linear algebra runs on integer rows: `linalg` builds a `Fraction`
+only in `exact`, the one normaliser of coefficients above the kernel.
 """
 
 import ast
@@ -74,3 +77,36 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_introduces_no_float(path):
     assert float_sites(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def fraction_calls_outside(source: str, allowed: str) -> list[int]:
+    """Lines of every Fraction(...) call outside the top-level function
+    named `allowed`."""
+    lines = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == allowed:
+            continue
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_fraction_calls_outside_finds_each_site():
+    source = (
+        "F1 = Fraction(1)\n"
+        "def exact(c):\n"
+        "    return Fraction(c)\n"
+        "def tails(rows):\n"
+        "    return [Fraction(x, 2) for x in rows]\n"
+    )
+    assert fraction_calls_outside(source, "exact") == [1, 5]
+
+
+def test_linalg_builds_fractions_only_in_exact():
+    source = (PACKAGE / "linalg.py").read_text(encoding="utf-8")
+    assert fraction_calls_outside(source, "exact") == []

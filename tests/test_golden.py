@@ -15,7 +15,8 @@ the K relation rows and the diamond check at the benchmark's sizes.
 count certificate above (2, 4).  `reduction-system 4 3`,
 `reduction-system 3 4`, `kl 4 3` and `relations 3 4` pin the dual
 rules, the KL table and the K relation rows at the sizes that the
-benchmark's `verify` ops certify.
+benchmark's `verify` ops certify.  `hh2 3 3 --adams 12` and
+`hh2 4 3 --adams 18` pin the critical normal vector above (2, 4).
 
 Each command runs in-process through `cli.main`; its stdout must equal
 `tests/golden/<slug>.out` and its exit code must be 0.  Stderr carries
@@ -79,6 +80,8 @@ COMMANDS = [
     ("reduction-system", "3", "4"),
     ("kl", "4", "3"),
     ("relations", "3", "4"),
+    ("hh2", "3", "3", "--adams", "12", "--json"),
+    ("hh2", "4", "3", "--adams", "18", "--json"),
 ]
 
 

@@ -685,9 +685,9 @@ def test_verify_resolves_each_overlap_once(monkeypatch, capsys):
     calls = []
     original = rw.resolve_overlap
 
-    def counting(overlap, system, fuel=rw.DEFAULT_FUEL):
+    def counting(overlap, system):
         calls.append(overlap)
-        return original(overlap, system, fuel)
+        return original(overlap, system)
 
     monkeypatch.setattr(rw, "resolve_overlap", counting)
     monkeypatch.setattr(K, "resolve_overlap", counting)

@@ -1,13 +1,14 @@
 """Exact linear algebra: fixtures plus randomized algebraic properties."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from arcdual import linalg
-from reference import rref
+from reference import echelon, nullspace, primitive_integer_vector, rref
 
 F = Fraction
 
@@ -58,16 +59,21 @@ def test_rref_empty():
 
 def test_nullspace_fixture():
     basis = linalg.nullspace(sparse(mat([[1, 1, 0], [0, 0, 1]])), 3)
-    assert basis == [mat([[-1, 1, 0]])[0]]
+    assert basis == [{0: -1, 1: 1}]
+
+
+def test_nullspace_fixture_non_unit_pivots():
+    # the reduced rows are {0: 6, 2: -1} and {1: 3, 2: 1}; the Fraction
+    # kernel vector (1/6, -1/3, 1) is scaled by the lcm 6 of their pivots
+    basis = linalg.nullspace([{0: 2, 1: 1}, {1: F(3, 2), 2: F(1, 2)}], 3)
+    assert basis == [{0: 1, 1: -2, 2: 6}]
+    assert [list(vec) for vec in basis] == [[0, 1, 2]]
+    assert all(type(c) is int for c in basis[0].values())
 
 
 def test_nullspace_of_no_rows_is_full():
     basis = linalg.nullspace([], 3)
-    assert basis == [
-        mat([[1, 0, 0]])[0],
-        mat([[0, 1, 0]])[0],
-        mat([[0, 0, 1]])[0],
-    ]
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_nullspace_rejects_keys_outside_the_columns():
@@ -80,13 +86,33 @@ def test_nullspace_vectors_are_killed(rows):
     ncols = len(rows[0]) if rows else 3
     for vec in linalg.nullspace(sparse(rows), ncols):
         for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
+            assert sum(a * vec.get(j, 0) for j, a in enumerate(row)) == 0
 
 
 @given(matrices())
 def test_rank_nullity(rows):
     ncols = len(rows[0]) if rows else 3
     assert linalg.rank(rows) + len(linalg.nullspace(sparse(rows), ncols)) == ncols
+
+
+@given(matrices())
+def test_nullspace_scales_the_fraction_reference(rows):
+    # each vector is the reference Fraction vector, 1 at its free column,
+    # times its free entry: primitive, positive there and killed by every
+    # row, with the keys ascending to the free column
+    ncols = len(rows[0]) if rows else 3
+    got = linalg.nullspace(sparse(rows), ncols)
+    want = nullspace(sparse(rows), ncols)
+    assert len(got) == len(want) == ncols - linalg.rank(rows)
+    for vec, ref in zip(got, want):
+        free = max(vec)
+        assert ref[free] == 1 and vec[free] > 0
+        assert list(vec) == sorted(vec)
+        assert all(type(c) is int and c for c in vec.values())
+        assert [vec.get(j, 0) for j in range(ncols)] == [vec[free] * x for x in ref]
+        assert gcd(*vec.values()) == 1
+        for row in rows:
+            assert sum(a * vec.get(j, 0) for j, a in enumerate(row)) == 0
 
 
 @given(matrices())
@@ -117,20 +143,20 @@ def test_rref_characterisation(rows):
 @given(matrices().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
 def test_echelon_ignores_vector_order(pair):
     rows, shuffled = pair
-    assert linalg.echelon(sparse(shuffled)) == linalg.echelon(sparse(rows))
+    assert echelon(sparse(shuffled)) == echelon(sparse(rows))
 
 
 def test_echelon_fixture_labelled_keys():
     vectors = [{("a", 1): F(2), ("b", 0): F(4)}, {("a", 1): F(1), ("c", 2): F(1)}]
-    assert linalg.echelon(vectors) == {
+    assert echelon(vectors) == {
         ("a", 1): {("c", 2): F(1)},
         ("b", 0): {("c", 2): F(-1, 2)},
     }
-    assert linalg.echelon([{}, {"x": F(0)}]) == {}
+    assert echelon([{}, {"x": F(0)}]) == {}
 
 
 def _fraction_echelon(vectors) -> dict:
-    """Reference for `linalg.echelon`: the same loop in Fraction arithmetic."""
+    """Reference for `echelon`: the same loop in Fraction arithmetic."""
 
     def subtract(target, factor, source):
         for k, c in source.items():
@@ -181,7 +207,7 @@ def vector_lists(draw):
 
 def assert_echelon_matches_reference(vectors):
     before = [dict(vec) for vec in vectors]
-    result = linalg.echelon(vectors)
+    result = echelon(vectors)
     assert result == _fraction_echelon(vectors)
     assert list(result) == sorted(result)
     assert all(type(v) is F for tail in result.values() for v in tail.values())
@@ -199,7 +225,7 @@ def test_echelon_fixture_non_unit_pivot():
     # first row, and back-substituting the third vector's pivot leaves the
     # first two rows with content 2
     vectors = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 3: 1}, {1: 1, 3: 1}]
-    assert linalg.echelon(vectors) == {0: {3: F(2)}, 1: {3: F(1)}, 2: {3: F(-3)}}
+    assert echelon(vectors) == {0: {3: F(2)}, 1: {3: F(1)}, 2: {3: F(-3)}}
     assert_echelon_matches_reference(vectors)
 
 
@@ -215,10 +241,10 @@ def test_echelon_fixture_empty_zero_and_nonzero_vectors():
         {},
         {"x": 1, "y": 6, "z": F(9, 2)},
     ]
-    assert linalg.echelon(vectors) == {"x": {"z": F(3)}, "y": {"z": F(1, 4)}}
+    assert echelon(vectors) == {"x": {"z": F(3)}, "y": {"z": F(1, 4)}}
     assert linalg.sparse_rank(vectors) == 2
     assert_echelon_matches_reference(vectors)
-    assert linalg.echelon([{}, {"x": F(0)}, {}]) == {}
+    assert echelon([{}, {"x": F(0)}, {}]) == {}
     assert linalg.sparse_rank([{"x": 0}, {}]) == 0
 
 
@@ -274,23 +300,21 @@ def test_span_membership_negative():
 
 
 def test_primitive_integer_vector_fixtures():
-    assert linalg.primitive_integer_vector([F(1, 2), F(-1, 3)]) == [3, -2]
-    assert linalg.primitive_integer_vector([F(-2, 3), F(4, 3)]) == [1, -2]
-    assert linalg.primitive_integer_vector([F(0), F(0)]) == [0, 0]
+    assert primitive_integer_vector([F(1, 2), F(-1, 3)]) == [3, -2]
+    assert primitive_integer_vector([F(-2, 3), F(4, 3)]) == [1, -2]
+    assert primitive_integer_vector([F(0), F(0)]) == [0, 0]
 
 
 @given(st.lists(entries, min_size=1, max_size=6), entries.filter(bool))
 def test_primitive_integer_vector_scale_invariant(vec, scale):
-    assert linalg.primitive_integer_vector(
+    assert primitive_integer_vector(
         [scale * x for x in vec]
-    ) == linalg.primitive_integer_vector(vec)
+    ) == primitive_integer_vector(vec)
 
 
 @given(st.lists(entries, min_size=1, max_size=6))
 def test_primitive_integer_vector_is_primitive(vec):
-    from math import gcd
-
-    ints = linalg.primitive_integer_vector(vec)
+    ints = primitive_integer_vector(vec)
     if any(ints):
         assert gcd(*(abs(x) for x in ints)) == 1
         assert next(x for x in ints if x) > 0

@@ -244,12 +244,14 @@ def test_normal_form_is_linear(system):
     )
 
 
-def test_fuel_exhaustion(system):
+def test_fuel_exhaustion(system, monkeypatch):
+    monkeypatch.setattr(rw, "DEFAULT_FUEL", 0)
     with pytest.raises(FuelError) as err:
-        rw.normal_form(path("y11", "x11"), system, fuel=0)
+        rw.normal_form(path("y11", "x11"), system)
     assert err.value.witness == {"path": repr(path("y11", "x11"))}
+    monkeypatch.setattr(rw, "DEFAULT_FUEL", 1)
     with pytest.raises(FuelError):
-        rw.normal_form(path("x12", "x31", "x32"), system, fuel=1)
+        rw.normal_form(path("x12", "x31", "x32"), system)
 
 
 @pytest.mark.parametrize(
@@ -261,12 +263,14 @@ def test_fuel_exhaustion(system):
         (("y11", "x11", "x2"), 5, ("x2", "y32", "x32")),
     ],
 )
-def test_fuel_is_burned_once_per_step(system, word, steps, last):
+def test_fuel_is_burned_once_per_step(system, monkeypatch, word, steps, last):
     # a word needing `steps` rewriting steps passes on exactly that much
     # fuel; one less raises with the path the last step would rewrite
-    rw.normal_form(path(*word), system, fuel=steps)
+    monkeypatch.setattr(rw, "DEFAULT_FUEL", steps)
+    rw.normal_form(path(*word), system)
+    monkeypatch.setattr(rw, "DEFAULT_FUEL", steps - 1)
     with pytest.raises(FuelError) as err:
-        rw.normal_form(path(*word), system, fuel=steps - 1)
+        rw.normal_form(path(*word), system)
     assert err.value.witness == {"path": repr(path(*last))}
 
 
